@@ -295,7 +295,7 @@ class CompileCache:
         so_path = self._native_disk_path(fingerprint, name, toolchain)
         if so_path is not None and so_path.exists():
             try:
-                module = native_mod.load_native_module(
+                module = native_mod.NativeModule(
                     so_path,
                     symbol=name,
                     compiler=toolchain.identity,

@@ -122,12 +122,7 @@ class RouteState:
         if module is not None:
             scalar = module
             candidates["native"] = module.hash_many
-            try:
-                from repro.codegen.native import _HAVE_NUMPY
-            except ImportError:  # pragma: no cover - defensive
-                _HAVE_NUMPY = False
-            if _HAVE_NUMPY:
-                batch_array = module.hash_many_array
+            batch_array = module.hash_many_array
             native = True
         self.batch, self.batch_tier, self.cost_ordered = _pick_batch_tier(
             synthesized, candidates

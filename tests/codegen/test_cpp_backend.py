@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.codegen.cpp_backend import emit_cpp, emit_skip_table_cpp
+from repro.codegen.cpp_backend import (
+    emit_cpp,
+    emit_cpp_native,
+    emit_skip_table_cpp,
+)
 from repro.core.plan import (
     CombineOp,
     HashFamily,
@@ -10,6 +14,7 @@ from repro.core.plan import (
     SkipTable,
     SynthesisPlan,
 )
+from repro.core.synthesis import synthesize
 from repro.errors import SynthesisError
 
 
@@ -31,8 +36,12 @@ def make_plan(family=HashFamily.OFFXOR, combine=CombineOp.XOR, **overrides):
 class TestHeaders:
     def test_x86_includes(self):
         source = emit_cpp(make_plan(), "x86")
+        for header in ("cstddef", "cstdint", "cstring", "string"):
+            assert f"#include <{header}>" in source
         assert "#include <immintrin.h>" in source
-        assert "#include <string>" in source
+        assert "std::memcpy" in source
+        assert "struct synthesizedOffxorHash {" in source
+        assert "size_t operator()(const std::string& key) const" in source
 
     def test_aarch64_includes(self):
         source = emit_cpp(make_plan(), "aarch64")
@@ -145,3 +154,49 @@ class TestBalancedOutput:
         source = emit_cpp(make_plan(family=family, combine=combine), target)
         assert source.count("{") == source.count("}")
         assert source.count("(") == source.count(")")
+
+
+class TestNativeUnit:
+    """The JIT unit spells its primitives with builtins, not headers."""
+
+    @pytest.mark.parametrize("family", list(HashFamily))
+    @pytest.mark.parametrize(
+        "regex",
+        [r"\d{3}-\d{2}-\d{4}", r"\d{8,24}", r"[a-f0-9]{12}:[a-f0-9]{4,12}"],
+    )
+    def test_header_free_on_x86(self, family, regex):
+        plan = synthesize(regex, family).plan
+        source = emit_cpp_native(plan, "x86")
+        assert "#include" not in source
+        assert "std::string" not in source
+        assert "_pext_u64" not in source
+        assert "__m128i" not in source
+        assert 'extern "C" uint64_t sepe_native_hash(' in source
+        assert 'extern "C" void sepe_native_hash_many(' in source
+        if family is HashFamily.AES:
+            assert "__builtin_ia32_aesenc128" in source
+        if family is not HashFamily.PEXT:
+            arm = emit_cpp_native(plan, "aarch64")
+            assert "std::" not in arm
+            includes = [
+                line for line in arm.splitlines() if "#include" in line
+            ]
+            expected = (
+                ["#include <arm_neon.h>"]
+                if family is HashFamily.AES
+                else []
+            )
+            assert includes == expected
+
+    def test_shares_the_core_with_the_paper_unit(self):
+        plan = synthesize(r"\d{8,24}", HashFamily.PEXT).plan
+        paper = emit_cpp(plan, "x86")
+        native = emit_cpp_native(plan, "x86")
+        assert "__builtin_ia32_pext_di(h0, 0xf0f0f0f0f0f0f0fULL)" in native
+        assert "_pext_u64(h0, UINT64_C(0xf0f0f0f0f0f0f0f))" in paper
+        cores = [
+            source[source.index("sepe_hash_core(") :].split("\n}\n")[0]
+            for source in (paper, native)
+        ]
+        assert len(cores[0].splitlines()) == len(cores[1].splitlines())
+        assert "while (p + 8 <= end)" in cores[1]
