@@ -16,6 +16,7 @@ from repro.bench.experiment import ExperimentSpec, experiment_grid
 from repro.bench.metrics import pearson_correlation
 from repro.bench.runner import measure_b_time, measure_h_time
 from repro.bench.suite import make_hash_suite
+from repro.codegen.cache import get_compile_cache
 from repro.containers.low_mixing import LowMixingMap
 from repro.core.plan import HashFamily
 from repro.core.synthesis import synthesize, synthesize_short_key
@@ -129,6 +130,7 @@ def figure16(
             regex = f"[0-9]{{{size}}}"
             best = float("inf")
             for _ in range(repeats):
+                get_compile_cache().clear()  # Every repeat is cold.
                 started = time.perf_counter()
                 synthesize(regex, family)
                 best = min(best, time.perf_counter() - started)

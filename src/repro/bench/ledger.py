@@ -481,11 +481,14 @@ def update_ledger(
     note: str = "",
     max_history: int = 24,
 ) -> Dict[str, Any]:
-    """Replace the current entry set, demoting it into the history.
+    """Merge fresh rows by family, demoting the old set into the history.
 
-    The displaced snapshot keeps only headline values (not samples), so
-    the committed trajectory stays small; history is bounded at
-    ``max_history`` snapshots, oldest dropped first.
+    A family is the id's first segment (``batch``/``serve``/``perfect``):
+    ``entries`` replace every row of their own families and leave the
+    other families' rows alone.  The displaced snapshot keeps only
+    headline values (not samples), so the committed trajectory stays
+    small; history is bounded at ``max_history`` snapshots, oldest
+    dropped first.
     """
     if ledger.get("entries"):
         ledger.setdefault("history", []).append(
@@ -504,9 +507,13 @@ def update_ledger(
     ledger["updated_at"] = _utc_stamp()
     ledger["fingerprint"] = fingerprint()
     ledger["note"] = note
+    fresh = {entry.id.split("/")[0] for entry in entries}
     ledger["entries"] = {
-        entry.id: entry.to_dict() for entry in entries
+        entry_id: document
+        for entry_id, document in ledger.get("entries", {}).items()
+        if entry_id.split("/")[0] not in fresh
     }
+    ledger["entries"].update((entry.id, entry.to_dict()) for entry in entries)
     return ledger
 
 

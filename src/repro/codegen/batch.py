@@ -306,13 +306,13 @@ def _emit_vector_lines(func: IRFunction, name: str) -> Optional[List[str]]:
     return prologue + header + lines
 
 
-def emit_python_batch(func: IRFunction, vectorize: bool = True) -> str:
-    """Render an IR function as batched Python source.
+def emit_python_batch(
+    func: IRFunction, name: str, vectorize: bool = True
+) -> str:
+    """Render an IR function as batched Python source defining ``name``.
 
     The emitted function takes a sequence of ``bytes`` keys and returns
-    a list of 64-bit ints, in order.  Its name is ``func.name`` — build
-    the IR under a distinct name when scalar and batch forms coexist in
-    one namespace.
+    a list of 64-bit ints, in order.
 
     Args:
         vectorize: allow the NumPy lane-array lowering (the default;
@@ -322,31 +322,31 @@ def emit_python_batch(func: IRFunction, vectorize: bool = True) -> str:
     """
     with span(
         "codegen.python.emit_batch",
-        function=func.name,
+        function=name,
         instrs=len(func.instrs),
     ):
-        return _emit_batch_lines(func, vectorize)
+        return _emit_batch_lines(func, name, vectorize)
 
 
-def _emit_batch_lines(func: IRFunction, vectorize: bool) -> str:
+def _emit_batch_lines(func: IRFunction, name: str, vectorize: bool) -> str:
     doc = f"Batched {func.plan.family.value} hash"
     if func.plan.pattern_regex:
         doc += f" for format {func.plan.pattern_regex!r}"
     vector_lines = (
-        _emit_vector_lines(func, func.name)
+        _emit_vector_lines(func, name)
         if vectorize and HAVE_NUMPY
         else None
     )
     if vector_lines is None:
-        lines = _loop_form_lines(func, func.name)
+        lines = _loop_form_lines(func, name)
         lines.insert(1, f'    """{doc}."""')
         return "\n".join(lines) + "\n"
     # Vector tier: the loop form rides along as `_<name>_rows`, the
     # generated guard's fallback for tiny or non-conforming batches.
-    lines = _loop_form_lines(func, f"_{func.name}_rows")
+    lines = _loop_form_lines(func, f"_{name}_rows")
     lines.append("")
     lines.extend(
-        _splice_doc(vector_lines, func.name, f"{doc} (vectorized)")
+        _splice_doc(vector_lines, name, f"{doc} (vectorized)")
     )
     return "\n".join(lines) + "\n"
 
@@ -369,4 +369,4 @@ def compile_plan_batch(
 ) -> BatchHashCallable:
     """Lower a plan to a callable ``hash_many(keys) -> list[int]``."""
     func = optimize(build_ir(plan, name=name))
-    return compile_source(emit_python_batch(func, vectorize), name)
+    return compile_source(emit_python_batch(func, name, vectorize), name)

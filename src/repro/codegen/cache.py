@@ -55,6 +55,7 @@ __all__ = [
     "CompileCache",
     "CompiledArtifact",
     "get_compile_cache",
+    "lower",
     "plan_fingerprint",
 ]
 
@@ -100,6 +101,26 @@ def plan_fingerprint(plan: SynthesisPlan) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def lower(plan: SynthesisPlan, optimized: bool = True) -> IRFunction:
+    """The plan's IR, raw or ``optimize``d, built once per plan object.
+
+    The verifier and both Python emitters share it.  The memo lives on
+    the plan instance, so a plan from ``dataclasses.replace`` or from
+    another synthesis lowers afresh and cache hit counts are unchanged.
+    """
+    memo = vars(plan).setdefault("_lowered", {})
+    if optimized not in memo:
+        # setdefault: under a race the first lowering stored wins, so
+        # every caller sees one IR object per plan.
+        memo.setdefault(
+            optimized,
+            optimize(lower(plan, optimized=False))
+            if optimized
+            else build_ir(plan),
+        )
+    return memo[optimized]
+
+
 @dataclass(frozen=True)
 class CompiledArtifact:
     """One cached compilation: generated source plus the live callable.
@@ -118,7 +139,7 @@ class CompiledArtifact:
     function: Callable
 
 
-_EMITTERS: Dict[str, Callable[[IRFunction], str]] = {
+_EMITTERS: Dict[str, Callable[[IRFunction, str], str]] = {
     "scalar": emit_python,
     "batch": emit_python_batch,
 }
@@ -268,8 +289,8 @@ class CompileCache:
             self._disk_hits.inc()
         else:
             with span("codegen.ir"):
-                func = optimize(build_ir(plan, name=name))
-            source = _EMITTERS[kind](func)
+                func = lower(plan)
+            source = _EMITTERS[kind](func, name)
             self._write_disk(fingerprint, name, kind, source)
         with span("codegen.python.compile", function=name):
             function = compile_source(source, name)

@@ -221,7 +221,7 @@ def dead_code_eliminate(func: IRFunction) -> IRFunction:
     return optimized
 
 
-_REWRITE_INSTR_LIMIT = 512
+_REWRITE_INSTR_LIMIT = 128
 """Largest function the range-rewrite pass will analyze; see below."""
 
 
@@ -252,13 +252,17 @@ def _apply_range_rewrites(func: IRFunction) -> Tuple[IRFunction, dict]:
     counter): the provenance sets the analysis drags along grow with
     key width, so on paper-scale RQ6 plans (a 2^14-byte key is ~7k
     instructions) the analysis costs tens of seconds to shave
-    nanoseconds — every realistic format plan is well under the limit.
+    nanoseconds.  Below that it still costs 2-3x the rest of a cold
+    synthesis per instruction, so a higher limit steps RQ6's linear
+    curve (Figure 16); built-in formats lower to at most 58.
     """
     if len(func.instrs) > _REWRITE_INSTR_LIMIT:
         from repro.obs.metrics import get_registry
 
         get_registry().counter("codegen.optimize.rewrites_skipped").inc()
         return func, {"rotl_to_shl": 0, "pext_elided": 0}
+    if not any(instr.opcode in ("rotl", "pext") for instr in func.instrs):
+        return func, {"rotl_to_shl": 0, "pext_elided": 0}  # Spare the cost.
 
     from repro.verify.dataflow import analyze_dataflow
 

@@ -91,8 +91,8 @@ def _emit_aes_absorb(
     return lines
 
 
-def emit_python(func: IRFunction) -> str:
-    """Render an IR function as Python source.
+def emit_python(func: IRFunction, name: str) -> str:
+    """Render an IR function as Python source defining ``name``.
 
     The emitted function takes a ``bytes`` key and returns a 64-bit int.
     Helper bindings (``int.from_bytes``, the AES round) are passed as
@@ -100,9 +100,9 @@ def emit_python(func: IRFunction) -> str:
     hot functions.
     """
     with span(
-        "codegen.python.emit", function=func.name, instrs=len(func.instrs)
+        "codegen.python.emit", function=name, instrs=len(func.instrs)
     ):
-        return _emit_python_lines(func)
+        return _emit_python_lines(func, name)
 
 
 def emit_body_lines(
@@ -193,9 +193,9 @@ def emit_body_lines(
     return lines
 
 
-def _emit_python_lines(func: IRFunction) -> str:
+def _emit_python_lines(func: IRFunction, name: str) -> str:
     lines: List[str] = []
-    lines.append(f"def {func.name}(key, _ifb=int.from_bytes, _aes=_aesenc):")
+    lines.append(f"def {name}(key, _ifb=int.from_bytes, _aes=_aesenc):")
     doc = f"Synthesized {func.plan.family.value} hash"
     if func.plan.pattern_regex:
         doc += f" for format {func.plan.pattern_regex!r}"
@@ -226,4 +226,4 @@ def compile_source(source: str, name: str) -> HashCallable:
 def compile_plan(plan: SynthesisPlan, name: str = "sepe_hash") -> HashCallable:
     """Lower a plan all the way to a callable Python hash function."""
     func = optimize(build_ir(plan, name=name))
-    return compile_source(emit_python(func), name)
+    return compile_source(emit_python(func, name), name)

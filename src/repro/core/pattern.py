@@ -16,6 +16,7 @@ format the paper evaluates — have ``min_length == max_length``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.quads import (
@@ -69,15 +70,13 @@ class BytePattern:
 
     def possible_bytes(self) -> List[int]:
         """Enumerate every byte value consistent with the template."""
-        free_bits = [bit for bit in range(8) if not (self.const_mask >> bit) & 1]
-        values = []
-        for combo in range(1 << len(free_bits)):
-            byte = self.const_value
-            for index, bit in enumerate(free_bits):
-                if (combo >> index) & 1:
-                    byte |= 1 << bit
-            values.append(byte)
-        return sorted(values)
+        return list(_byte_class(self.const_mask, self.const_value))
+
+
+@lru_cache(maxsize=None)
+def _byte_class(mask: int, value: int) -> Tuple[int, ...]:
+    """The sorted bytes ``b`` with ``b & mask == value``, tabled."""
+    return tuple(byte for byte in range(256) if byte & mask == value)
 
 
 @dataclass(frozen=True)

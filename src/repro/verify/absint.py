@@ -101,11 +101,9 @@ class AbstractValue:
 
     def influence(self) -> FrozenSet[BitSource]:
         """Union of all per-bit provenance sets."""
-        result: FrozenSet[BitSource] = frozenset()
-        for entry in self.prov:
-            if entry:
-                result = result | entry
-        return result
+        # Union each distinct set once: a fully mixed value (an AES
+        # state) repeats one key-wide set in all of its 128 bits.
+        return frozenset().union(*set(self.prov))
 
     def admits(self, concrete: int) -> bool:
         """Soundness check: can this abstract value describe ``concrete``?"""

@@ -155,6 +155,7 @@ def prove_bijectivity(
     plan: SynthesisPlan,
     pattern: Optional[KeyPattern] = None,
     func: Optional[IRFunction] = None,
+    result: Optional[AbstractResult] = None,
 ) -> BijectivityResult:
     """Certify or refute that ``plan`` is injective on conforming keys.
 
@@ -163,15 +164,18 @@ def prove_bijectivity(
         pattern: the key format; re-expanded from ``plan.pattern_regex``
             when omitted.
         func: pre-built IR for the plan (rebuilt when omitted).
+        result: a pre-computed abstract interpretation of ``func`` under
+            ``pattern`` (requires ``func``); computed when omitted.
     """
     with span("verify.bijectivity", family=plan.family.value):
-        return _prove(plan, pattern, func)
+        return _prove(plan, pattern, func, result)
 
 
 def _prove(
     plan: SynthesisPlan,
     pattern: Optional[KeyPattern],
     func: Optional[IRFunction],
+    result: Optional[AbstractResult],
 ) -> BijectivityResult:
     claimed = plan.bijective
     pattern = resolve_pattern(plan, pattern)
@@ -208,7 +212,7 @@ def _prove(
                 failed_preconditions=tuple(failed),
             )
     try:
-        result = analyze_ir(func, pattern)
+        result = result or analyze_ir(func, pattern)
     except SepeError as error:
         refuse(
             "absint-failed",

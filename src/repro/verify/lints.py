@@ -24,12 +24,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from repro.codegen.ir import (
-    IRFunction,
-    build_ir,
-    dead_code_eliminate,
-    optimize,
-)
+from repro.codegen.cache import lower
+from repro.codegen.ir import IRFunction, dead_code_eliminate
 from repro.core.pattern import KeyPattern
 from repro.core.plan import CombineOp, HashFamily, SynthesisPlan
 from repro.errors import SepeError
@@ -168,8 +164,6 @@ class LintContext:
     ):
         self.plan = plan
         self.pattern = resolve_pattern(plan, pattern)
-        self._ir: Optional[IRFunction] = None
-        self._optimized: Optional[IRFunction] = None
         self._absint: Optional[AbstractResult] = None
         self._bijectivity: Optional[BijectivityResult] = None
         self._dataflow: Optional[DataflowResult] = None
@@ -178,15 +172,11 @@ class LintContext:
 
     @property
     def ir(self) -> IRFunction:
-        if self._ir is None:
-            self._ir = build_ir(self.plan, name="lint")
-        return self._ir
+        return lower(self.plan, optimized=False)
 
     @property
     def optimized(self) -> IRFunction:
-        if self._optimized is None:
-            self._optimized = optimize(self.ir)
-        return self._optimized
+        return lower(self.plan)
 
     @property
     def absint(self) -> AbstractResult:
@@ -194,11 +184,21 @@ class LintContext:
             self._absint = analyze_ir(self.ir, self.pattern)
         return self._absint
 
+    def shared_absint(self) -> Optional[AbstractResult]:
+        """:attr:`absint`, or None if it raises: the consumer then redoes
+        the failing step and words the finding as it always has."""
+        try:
+            return self.absint
+        except SepeError:
+            return None
+
     @property
     def bijectivity(self) -> BijectivityResult:
         if self._bijectivity is None:
+            result = self.shared_absint()
+            func = self.ir if result else None
             self._bijectivity = prove_bijectivity(
-                self.plan, self.pattern, func=self._ir
+                self.plan, self.pattern, func=func, result=result
             )
         return self._bijectivity
 
@@ -545,7 +545,9 @@ def _lint_cost_anomaly(ctx: LintContext) -> Iterator[Finding]:
     "optimize() must preserve the function's abstract semantics",
 )
 def _lint_optimize_tv(ctx: LintContext) -> Iterator[Finding]:
-    mismatch = translation_validate(ctx.ir, ctx.optimized, ctx.pattern)
+    mismatch = translation_validate(
+        ctx.ir, ctx.optimized, ctx.pattern, original=ctx.shared_absint()
+    )
     if mismatch is not None:
         yield Finding(
             "optimize-tv",

@@ -22,7 +22,7 @@ from repro.codegen.ir import IRFunction
 from repro.core.pattern import KeyPattern
 from repro.errors import SepeError
 from repro.obs.trace import span
-from repro.verify.absint import AbstractValue, analyze_ir
+from repro.verify.absint import AbstractResult, AbstractValue, analyze_ir
 
 __all__ = ["translation_validate"]
 
@@ -40,16 +40,19 @@ def translation_validate(
     before: IRFunction,
     after: IRFunction,
     pattern: Optional[KeyPattern] = None,
+    original: Optional[AbstractResult] = None,
 ) -> Optional[str]:
     """Check that ``after`` computes the same abstract value as ``before``.
 
     Returns ``None`` when the rewrite is proved equivalent under the
     abstract semantics, or a human-readable counterexample description
     when it is not (including when either version fails to analyze).
+    ``original``, when given, is ``before`` already analyzed under
+    ``pattern``.
     """
     with span("verify.tv", function=before.name):
         try:
-            original = analyze_ir(before, pattern)
+            original = original or analyze_ir(before, pattern)
         except SepeError as error:
             return f"original function fails abstract interpretation: {error}"
         try:

@@ -157,6 +157,33 @@ class TestLedgerDocument:
         points = trajectory(ledger, "batch/SSN/pext/scalar_ns_per_key")
         assert [value for _at, value in points] == [101.0, 102.0, 103.0]
 
+    def test_update_replaces_only_the_fresh_families(self):
+        ledger = new_ledger()
+        update_ledger(
+            ledger,
+            [
+                _entry("batch/SSN/pext/scalar_ns_per_key", 100.0),
+                _entry("serve/scaling/shards1/ns_per_key", 760.0),
+                _entry("perfect/http-methods/perfect/lookup_ns_per_key", 9.0),
+                _entry("perfect/http-methods/gperf/lookup_ns_per_key", 8.0),
+            ],
+        )
+        update_ledger(
+            ledger,
+            [_entry("perfect/http-methods/perfect/lookup_ns_per_key", 7.0)],
+        )
+        values = {
+            entry_id: document["value"]
+            for entry_id, document in ledger["entries"].items()
+        }
+        # The perfect run replaces every perfect row (the gperf row it
+        # did not re-measure is gone) and keeps the other families.
+        assert values == {
+            "batch/SSN/pext/scalar_ns_per_key": 100.0,
+            "serve/scaling/shards1/ns_per_key": 760.0,
+            "perfect/http-methods/perfect/lookup_ns_per_key": 7.0,
+        }
+
     def test_round_trip_through_disk(self, tmp_path):
         path = tmp_path / "LEDGER.json"
         ledger = new_ledger()

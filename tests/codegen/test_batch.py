@@ -98,7 +98,7 @@ class TestBatchParityVariableLength:
     def test_variable_length_never_vectorizes(self):
         plan = synthesize(VARIABLE_REGEX, HashFamily.NAIVE).plan
         func = optimize(build_ir(plan, name="hash_many"))
-        assert "_np" not in emit_python_batch(func)
+        assert "_np" not in emit_python_batch(func, "hash_many")
 
 
 @pytest.mark.skipif(not HAVE_NUMPY, reason="vector tier needs numpy")
@@ -107,7 +107,7 @@ class TestVectorTier:
     def test_fixed_length_emits_vector_source(self, family):
         plan = synthesize(KEY_TYPES["SSN"].regex, family).plan
         func = optimize(build_ir(plan, name="hash_many"))
-        source = emit_python_batch(func)
+        source = emit_python_batch(func, "hash_many")
         assert "_np.frombuffer" in source
         # The loop form rides along as the guard's fallback.
         assert "def _hash_many_rows(" in source
@@ -137,14 +137,15 @@ class TestComprehensionForm:
         plan = synthesize(KEY_TYPES["SSN"].regex, HashFamily.NAIVE).plan
         func = optimize(build_ir(plan, name="hash_many"))
         assert _expression_body(func) is not None
-        assert "for key in keys]" in emit_python_batch(func, vectorize=False)
+        source = emit_python_batch(func, "hash_many", vectorize=False)
+        assert "for key in keys]" in source
 
     def test_pext_does_not_collapse(self):
         """Multi-run pext masks reference a register several times, so
         substitution would duplicate work; the loop form must win."""
         plan = synthesize(KEY_TYPES["SSN"].regex, HashFamily.PEXT).plan
         func = optimize(build_ir(plan, name="hash_many"))
-        source = emit_python_batch(func, vectorize=False)
+        source = emit_python_batch(func, "hash_many", vectorize=False)
         assert "_append(" in source
 
 

@@ -106,7 +106,7 @@ class TestEmitPython:
     def test_aes_emitted_inline(self):
         plan = make_plan([LoadOp(0), LoadOp(8)], combine=CombineOp.AESENC)
         func = optimize(build_ir(plan, name="f"))
-        source = emit_python(func)
+        source = emit_python(func, "f")
         assert "_T0[" in source  # inline T-table gathers, no helper call
         function = compile_source(source, "f")
         assert 0 <= function(bytes(16)) <= MASK64
@@ -138,7 +138,7 @@ class TestEmitPython:
             bijective=False,
             pattern_regex=r"\d{16}",
         )
-        source = emit_python(optimize(build_ir(plan, name="f")))
+        source = emit_python(optimize(build_ir(plan, name="f")), "f")
         assert "offxor" in source
         assert r"\\d{16}" in source or r"\d{16}" in source
 
@@ -149,7 +149,7 @@ class TestEmitPython:
         func.instrs.append(Instr("bogus", "x", ()))
         func.emit_ret("x")
         with pytest.raises(ValueError):
-            emit_python(func)
+            emit_python(func, "f")
 
     def test_missing_ret_rejected(self):
         from repro.codegen.ir import IRFunction
@@ -157,7 +157,7 @@ class TestEmitPython:
         func = IRFunction("f", make_plan([LoadOp(0)]))
         func.emit("const", (1,))
         with pytest.raises(ValueError):
-            emit_python(func)
+            emit_python(func, "f")
 
     @given(st.binary(min_size=16, max_size=16))
     @settings(max_examples=50)
