@@ -25,7 +25,6 @@ from repro.core.fast_infer import (
     PatternAccumulator,
     join_keys_bigint,
     join_keys_numpy,
-    numpy_available,
 )
 from repro.core.quads import Quad, join_keys
 from repro.obs.trace import span
@@ -115,7 +114,7 @@ def compare_infer(
         "python": platform.python_version(),
         "platform": platform.platform(),
         "fingerprint": fingerprint(),
-        "numpy": numpy_available(),
+        "numpy": True,
         "params": {
             "num_keys": num_keys,
             "key_len": key_len,
@@ -146,7 +145,7 @@ def compare_infer(
                 ("bigint", lambda: join_keys_bigint(keys)),
                 ("accumulator", lambda: _accumulator_join(keys)),
             ]
-            if numpy_available() and name == "fixed":
+            if name == "fixed":
                 engines.append(("numpy", lambda: join_keys_numpy(keys)))
             if jobs and jobs > 1:
                 engines.append(

@@ -9,7 +9,7 @@ describes and the reason HighwayHash amortizes across SIMD lanes.
 
 Three lowerings, strongest applicable wins:
 
-- **Vectorized** (fixed-length plans, NumPy importable): the batch is
+- **Vectorized** (fixed-length plans): the batch is
   joined into one buffer, reshaped ``(n, key_length)``, and every IR
   instruction is applied to a whole *column of keys* as a ``uint64``
   lane array — loads become strided views, pext runs / shifts / xors
@@ -26,9 +26,9 @@ Three lowerings, strongest applicable wins:
   unrolled scalar body inside ``for key in keys``, with ``ret`` lowered
   to a bound ``append``.
 
-NumPy is optional: when it cannot be imported the emitter silently
-produces the loop/comprehension forms only (the repro itself stays
-zero-dependency for correctness, vectorization is a perf tier).
+The vector body is produced per IR instruction
+(:func:`_emit_vector_lines`), so :func:`repro.obs.profile.profile_batch`
+can time this kernel's own statements, group by group.
 
 Differential tests (:mod:`tests.codegen.test_batch`) pin
 ``hash_many(keys) == [interpret(func, k) for k in keys]`` for all four
@@ -37,7 +37,7 @@ families, on both the vector and loop paths.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.codegen.ir import AES_ROUND_KEY, IRFunction, build_ir, optimize
 from repro.codegen.python_backend import (
@@ -46,16 +46,10 @@ from repro.codegen.python_backend import (
     _pext_expression,
     compile_source,
     emit_body_lines,
+    statement_rhs,
 )
 from repro.core.plan import HashFamily, SynthesisPlan
 from repro.obs.trace import span
-
-try:  # Vectorization tier; the loop forms cover absence.
-    import numpy as _numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - exercised via emit flag instead
-    HAVE_NUMPY = False
 
 BatchHashCallable = Callable[[Sequence[bytes]], List[int]]
 
@@ -66,15 +60,20 @@ VECTOR_MIN_KEYS = 16
 array setup costs more than it amortizes."""
 
 
+_INLINABLE = ("const", "load64", "shl", "shr", "mul64", "xor", "or", "add")
+"""Opcodes whose right-hand side references each operand once."""
+
+
 def _expression_body(func: IRFunction) -> Optional[str]:
     """Render the whole body as one expression, or None if impossible.
 
     Substitution is only safe when every intermediate register is
     consumed exactly once (else the inlined expression would recompute
-    work the statement form shares) and every opcode has a
-    single-reference expression rendering.  That covers the Naive/OffXor
-    load/xor chains; ``pext`` (multi-run masks reference the source once
-    per run), ``rotl``/``aes_fold`` (two references), ``tail_xor`` and
+    work the statement form shares) and every opcode's right-hand side
+    (:func:`repro.codegen.python_backend.statement_rhs`) references its
+    operand once.  That covers the Naive/OffXor load/xor chains;
+    ``pext`` (multi-run masks reference the source once per run),
+    ``rotl``/``aes_fold`` (two references), ``tail_xor`` and
     ``aes_absorb`` (statements) all bail out.
     """
     uses: Dict[str, int] = {}
@@ -84,37 +83,26 @@ def _expression_body(func: IRFunction) -> Optional[str]:
                 uses[arg] = uses.get(arg, 0) + 1
     exprs: Dict[str, str] = {}
     for instr in func.instrs:
-        op, dest, args = instr.opcode, instr.dest, instr.args
-        if op == "const":
-            expr = hex(args[0])
-        elif op == "load64":
-            offset, width = args
-            expr = f"_ifb(key[{offset}:{offset + width}], 'little')"
-        elif op == "shl":
-            expr = f"(({exprs[args[0]]} << {args[1]}) & {hex(MASK64)})"
-        elif op == "shr":
-            expr = f"({exprs[args[0]]} >> {args[1]})"
-        elif op == "mul64":
-            expr = f"(({exprs[args[0]]} * {hex(args[1])}) & {hex(MASK64)})"
-        elif op == "xor":
-            expr = f"({exprs[args[0]]} ^ {exprs[args[1]]})"
-        elif op == "or":
-            expr = f"({exprs[args[0]]} | {exprs[args[1]]})"
-        elif op == "add":
-            expr = f"(({exprs[args[0]]} + {exprs[args[1]]}) & {hex(MASK64)})"
-        elif op == "ret":
-            return exprs[args[0]]
-        else:
+        op, dest = instr.opcode, instr.dest
+        args = tuple(
+            exprs[arg] if isinstance(arg, str) else arg for arg in instr.args
+        )
+        if op == "ret":
+            return args[0]
+        if op not in _INLINABLE or uses.get(dest, 0) > 1:
             return None
-        if uses.get(dest, 0) > 1:
-            return None
-        exprs[dest] = expr
+        rhs = statement_rhs(op, args)
+        exprs[dest] = rhs if op in ("const", "load64") else f"({rhs})"
     return None
+
+
+def _signature(name: str) -> str:
+    return f"def {name}(keys, _ifb=int.from_bytes, _aes=_aesenc):"
 
 
 def _loop_form_lines(func: IRFunction, name: str) -> List[str]:
     """The per-key forms: comprehension when safe, else generated loop."""
-    lines = [f"def {name}(keys, _ifb=int.from_bytes, _aes=_aesenc):"]
+    lines = [_signature(name)]
     expression = (
         _expression_body(func)
         if func.plan.family in _COMPREHENSION_FAMILIES
@@ -211,7 +199,24 @@ def _emit_vector_arith(
         lines.append(f"    {dest} = {args[0]} + {args[1]}")
 
 
-def _emit_vector_lines(func: IRFunction, name: str) -> Optional[List[str]]:
+class _VectorKernel(NamedTuple):
+    """The vector tier's source, grouped per IR instruction.
+
+    :func:`_emit_batch_lines` joins the parts into the kernel;
+    :func:`repro.obs.profile.profile_batch` compiles the same parts
+    with a timestamp after each group.
+    """
+
+    prologue: List[str]
+    """Module-level bindings: NumPy and the AES T-tables."""
+    setup: List[str]
+    """Statements before the first instruction: size and length guards
+    (each falls back to ``_<name>_rows``), the join, the byte matrix."""
+    groups: List[Tuple[str, List[str]]]
+    """``(opcode, statements)`` per IR instruction, in order."""
+
+
+def _emit_vector_lines(func: IRFunction, name: str) -> Optional[_VectorKernel]:
     """Vectorized body over uint64 lane arrays, or None when inapplicable.
 
     Only fixed-length plans qualify (variable-length needs the per-key
@@ -222,13 +227,14 @@ def _emit_vector_lines(func: IRFunction, name: str) -> Optional[List[str]]:
     if not plan.is_fixed_length:
         return None
     length = plan.key_length
-    lines: List[str] = []
+    groups: List[Tuple[str, List[str]]] = []
     wide: set = set()  # registers holding 128-bit lane pairs
     scalars: set = set()  # registers holding per-plan (not per-key) ints
     uses_aes = any(instr.opcode == "aes_absorb" for instr in func.instrs)
     returned: Optional[str] = None
     for instr in func.instrs:
         op, dest, args = instr.opcode, instr.dest, instr.args
+        lines: List[str] = []
         if op == "const":
             value = args[0]
             if value >= 1 << 64:
@@ -282,6 +288,7 @@ def _emit_vector_lines(func: IRFunction, name: str) -> Optional[List[str]]:
             lines.append(f"    return {returned}.tolist()")
         else:
             return None
+        groups.append((op, lines))
     if returned is None:
         return None
     prologue = [
@@ -293,8 +300,7 @@ def _emit_vector_lines(func: IRFunction, name: str) -> Optional[List[str]]:
             f"_T{i}V = _np.asarray(_T{i}, dtype=_np.uint64)"
             for i in range(4)
         )
-    header = [
-        f"def {name}(keys, _ifb=int.from_bytes, _aes=_aesenc):",
+    setup = [
         "    n = len(keys)",
         f"    if n < {VECTOR_MIN_KEYS}:",
         f"        return _{name}_rows(keys)",
@@ -303,7 +309,7 @@ def _emit_vector_lines(func: IRFunction, name: str) -> Optional[List[str]]:
         f"        return _{name}_rows(keys)",
         f"    _a = _np.frombuffer(buf, dtype=_np.uint8).reshape(n, {length})",
     ]
-    return prologue + header + lines
+    return _VectorKernel(prologue, setup, groups)
 
 
 def emit_python_batch(
@@ -316,9 +322,9 @@ def emit_python_batch(
 
     Args:
         vectorize: allow the NumPy lane-array lowering (the default;
-            automatically skipped when NumPy is unavailable or the plan
-            does not qualify).  Pass False to force the loop form, e.g.
-            for differential tests of both tiers.
+            skipped when the plan does not qualify).  Pass False to
+            force the loop form, e.g. for differential tests of both
+            tiers.
     """
     with span(
         "codegen.python.emit_batch",
@@ -332,12 +338,8 @@ def _emit_batch_lines(func: IRFunction, name: str, vectorize: bool) -> str:
     doc = f"Batched {func.plan.family.value} hash"
     if func.plan.pattern_regex:
         doc += f" for format {func.plan.pattern_regex!r}"
-    vector_lines = (
-        _emit_vector_lines(func, name)
-        if vectorize and HAVE_NUMPY
-        else None
-    )
-    if vector_lines is None:
+    kernel = _emit_vector_lines(func, name) if vectorize else None
+    if kernel is None:
         lines = _loop_form_lines(func, name)
         lines.insert(1, f'    """{doc}."""')
         return "\n".join(lines) + "\n"
@@ -345,21 +347,13 @@ def _emit_batch_lines(func: IRFunction, name: str, vectorize: bool) -> str:
     # generated guard's fallback for tiny or non-conforming batches.
     lines = _loop_form_lines(func, f"_{name}_rows")
     lines.append("")
-    lines.extend(
-        _splice_doc(vector_lines, name, f"{doc} (vectorized)")
-    )
+    lines.extend(kernel.prologue)
+    lines.append(_signature(name))
+    lines.append(f'    """{doc} (vectorized)."""')
+    lines.extend(kernel.setup)
+    for _opcode, group in kernel.groups:
+        lines.extend(group)
     return "\n".join(lines) + "\n"
-
-
-def _splice_doc(lines: List[str], name: str, doc: str) -> List[str]:
-    """Insert the docstring right after the vector function's header."""
-    header = f"def {name}(keys, _ifb=int.from_bytes, _aes=_aesenc):"
-    out: List[str] = []
-    for line in lines:
-        out.append(line)
-        if line == header:
-            out.append(f'    """{doc}."""')
-    return out
 
 
 def compile_plan_batch(

@@ -6,26 +6,78 @@ interpreter and the compiled function must agree bit for bit, which
 pins the backend's lowering (pext run-decomposition, shift masking,
 tail loops) against an independent, dead-simple evaluator.
 
-It is deliberately slow and obvious — one dict of registers, one
-if-chain per opcode — because its value is as an oracle, not an engine.
+Each opcode's concrete semantics is written once, as an entry of
+:data:`STEPS` — ``step(registers, args, key) -> int``, where an ``int``
+argument in an operand position is an immediate and a ``str`` names a
+register.  Two loops walk that one table:
 
-A second entry point, :func:`interpret_profiled`, runs the same
-semantics under per-instruction timing for the performance observatory
-(:mod:`repro.obs.profile`): every instruction's wall/CPU cost is
-attributed to its opcode via chained timestamps, so opcode self-times
-sum to the loop's elapsed time by construction.  The two evaluators are
-parity-pinned against each other in ``tests/obs/test_profile.py``.
+- :func:`interpret` (and :func:`interpret_registers`) — the oracle;
+- :func:`interpret_profiled_many` — the same walk with chained
+  per-instruction timestamps for the performance observatory
+  (:mod:`repro.obs.profile`), so opcode self-times sum to the loop's
+  elapsed time by construction.
+
+It is deliberately slow and obvious, because its value is as an oracle,
+not an engine.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 from repro.codegen.ir import AES_ROUND_KEY, IRFunction
 from repro.isa.aes import aesenc
 from repro.isa.bits import MASK64, pext, rotl64
 from repro.obs.trace import span
+
+Step = Callable[[Dict[str, int], tuple, bytes], int]
+
+
+def _get(registers: Dict[str, int], arg) -> int:
+    """An operand: an ``int`` is an immediate, a ``str`` a register."""
+    return arg if isinstance(arg, int) else registers[arg]
+
+
+def _tail_xor(registers, args, key) -> int:
+    acc = _get(registers, args[0])
+    position = args[1]
+    length = len(key)
+    while position + 8 <= length:
+        acc ^= int.from_bytes(key[position : position + 8], "little")
+        position += 8
+    if position < length:
+        acc ^= int.from_bytes(key[position:length], "little")
+    return acc
+
+
+def _aes_absorb(registers, args, key) -> int:
+    state, lo, hi = (_get(registers, arg) for arg in args)
+    return aesenc(state ^ (lo | (hi << 64)), AES_ROUND_KEY)
+
+
+def _aes_fold(registers, args, key) -> int:
+    value = _get(registers, args[0])
+    return (value ^ (value >> 64)) & MASK64
+
+
+STEPS: Dict[str, Step] = {
+    "const": lambda r, a, k: a[0],
+    "load64": lambda r, a, k: int.from_bytes(k[a[0] : a[0] + a[1]], "little"),
+    "pext": lambda r, a, k: pext(_get(r, a[0]), a[1]),
+    "shl": lambda r, a, k: (_get(r, a[0]) << a[1]) & MASK64,
+    "shr": lambda r, a, k: _get(r, a[0]) >> a[1],
+    "mul64": lambda r, a, k: (_get(r, a[0]) * a[1]) & MASK64,
+    "rotl": lambda r, a, k: rotl64(_get(r, a[0]), a[1]),
+    "xor": lambda r, a, k: _get(r, a[0]) ^ _get(r, a[1]),
+    "or": lambda r, a, k: _get(r, a[0]) | _get(r, a[1]),
+    "add": lambda r, a, k: (_get(r, a[0]) + _get(r, a[1])) & MASK64,
+    "aes_absorb": _aes_absorb,
+    "aes_fold": _aes_fold,
+    "tail_xor": _tail_xor,
+    "ret": lambda r, a, k: _get(r, a[0]),
+}
+"""Concrete semantics of every IR opcode; ``ret``'s value is the result."""
 
 
 def interpret(func: IRFunction, key: bytes) -> int:
@@ -59,61 +111,15 @@ def _interpret(
 ) -> int:
     if registers is None:
         registers = {}
-
-    def get(name) -> int:
-        if isinstance(name, int):
-            return name
-        return registers[name]
-
     for instr in func.instrs:
-        op, dest, args = instr.opcode, instr.dest, instr.args
-        if op == "const":
-            registers[dest] = args[0]
-        elif op == "load64":
-            offset, width = args
-            registers[dest] = int.from_bytes(
-                key[offset : offset + width], "little"
-            )
-        elif op == "pext":
-            registers[dest] = pext(get(args[0]), args[1])
-        elif op == "shl":
-            registers[dest] = (get(args[0]) << args[1]) & MASK64
-        elif op == "shr":
-            registers[dest] = get(args[0]) >> args[1]
-        elif op == "mul64":
-            registers[dest] = (get(args[0]) * args[1]) & MASK64
-        elif op == "rotl":
-            registers[dest] = rotl64(get(args[0]), args[1])
-        elif op == "xor":
-            registers[dest] = get(args[0]) ^ get(args[1])
-        elif op == "or":
-            registers[dest] = get(args[0]) | get(args[1])
-        elif op == "add":
-            registers[dest] = (get(args[0]) + get(args[1])) & MASK64
-        elif op == "aes_absorb":
-            state, lo, hi = (get(a) for a in args)
-            registers[dest] = aesenc(
-                state ^ (lo | (hi << 64)), AES_ROUND_KEY
-            )
-        elif op == "aes_fold":
-            value = get(args[0])
-            registers[dest] = (value ^ (value >> 64)) & MASK64
-        elif op == "tail_xor":
-            acc = get(args[0])
-            position = args[1]
-            length = len(key)
-            while position + 8 <= length:
-                acc ^= int.from_bytes(
-                    key[position : position + 8], "little"
-                )
-                position += 8
-            if position < length:
-                acc ^= int.from_bytes(key[position:length], "little")
-            registers[dest] = acc
-        elif op == "ret":
-            return get(args[0])
-        else:
+        op = instr.opcode
+        step = STEPS.get(op)
+        if step is None:
             raise ValueError(f"unknown IR opcode: {op}")
+        value = step(registers, instr.args, key)
+        if op == "ret":
+            return value
+        registers[instr.dest] = value
     raise ValueError("IR function fell off the end without ret")
 
 
@@ -151,63 +157,12 @@ def interpret_profiled_many(
     wall_entry = wall_prev = time.perf_counter()
     for key in keys:
         registers: Dict[str, int] = {}
-
-        def get(name) -> int:
-            if isinstance(name, int):
-                return name
-            return registers[name]
-
-        returned = False
         for instr in instrs:
-            op, dest, args = instr.opcode, instr.dest, instr.args
-            if op == "const":
-                registers[dest] = args[0]
-            elif op == "load64":
-                offset, width = args
-                registers[dest] = int.from_bytes(
-                    key[offset : offset + width], "little"
-                )
-            elif op == "pext":
-                registers[dest] = pext(get(args[0]), args[1])
-            elif op == "shl":
-                registers[dest] = (get(args[0]) << args[1]) & MASK64
-            elif op == "shr":
-                registers[dest] = get(args[0]) >> args[1]
-            elif op == "mul64":
-                registers[dest] = (get(args[0]) * args[1]) & MASK64
-            elif op == "rotl":
-                registers[dest] = rotl64(get(args[0]), args[1])
-            elif op == "xor":
-                registers[dest] = get(args[0]) ^ get(args[1])
-            elif op == "or":
-                registers[dest] = get(args[0]) | get(args[1])
-            elif op == "add":
-                registers[dest] = (get(args[0]) + get(args[1])) & MASK64
-            elif op == "aes_absorb":
-                state, lo, hi = (get(a) for a in args)
-                registers[dest] = aesenc(
-                    state ^ (lo | (hi << 64)), AES_ROUND_KEY
-                )
-            elif op == "aes_fold":
-                value = get(args[0])
-                registers[dest] = (value ^ (value >> 64)) & MASK64
-            elif op == "tail_xor":
-                acc = get(args[0])
-                position = args[1]
-                length = len(key)
-                while position + 8 <= length:
-                    acc ^= int.from_bytes(
-                        key[position : position + 8], "little"
-                    )
-                    position += 8
-                if position < length:
-                    acc ^= int.from_bytes(key[position:length], "little")
-                registers[dest] = acc
-            elif op == "ret":
-                append(get(args[0]))
-                returned = True
-            else:
+            op = instr.opcode
+            step = STEPS.get(op)
+            if step is None:
                 raise ValueError(f"unknown IR opcode: {op}")
+            value = step(registers, instr.args, key)
             cpu_now = time.thread_time()
             wall_now = time.perf_counter()
             entry = stats.get(op)
@@ -218,20 +173,10 @@ def interpret_profiled_many(
             entry[2] += cpu_now - cpu_prev
             wall_prev = wall_now
             cpu_prev = cpu_now
-            if returned:
+            if op == "ret":
+                append(value)
                 break
-        if not returned:
+            registers[instr.dest] = value
+        else:
             raise ValueError("IR function fell off the end without ret")
     return values, wall_prev - wall_entry, cpu_prev - cpu_entry
-
-
-def interpret_profiled(
-    func: IRFunction, key: bytes, stats: Dict[str, list]
-) -> tuple:
-    """Single-key form of :func:`interpret_profiled_many`.
-
-    Returns:
-        ``(value, wall_seconds, cpu_seconds)``.
-    """
-    values, wall, cpu = interpret_profiled_many(func, (key,), stats)
-    return values[0], wall, cpu

@@ -25,7 +25,7 @@ the reference interpreter, which uses the plain :func:`repro.isa.aes
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Optional
 
 from repro.codegen.ir import AES_ROUND_KEY, IRFunction, build_ir, optimize
 from repro.core.plan import SynthesisPlan
@@ -105,6 +105,44 @@ def emit_python(func: IRFunction, name: str) -> str:
         return _emit_python_lines(func, name)
 
 
+def statement_rhs(op: str, args: tuple) -> Optional[str]:
+    """The right-hand side ``dest = ...`` of a one-statement opcode.
+
+    ``None`` for the opcodes that lower to several statements
+    (``aes_absorb``, ``tail_xor``) and for ``ret``.  Register operands
+    are rendered as given, so the batch backend's expression form
+    substitutes whole sub-expressions for them.
+    """
+    if op == "const":
+        return hex(args[0])
+    if op == "load64":
+        offset, width = args
+        return f"_ifb(key[{offset}:{offset + width}], 'little')"
+    if op == "pext":
+        return _pext_expression(args[0], args[1])
+    if op == "shl":
+        return f"({args[0]} << {args[1]}) & {hex(MASK64)}"
+    if op == "shr":
+        return f"{args[0]} >> {args[1]}"
+    if op == "mul64":
+        return f"({args[0]} * {hex(args[1])}) & {hex(MASK64)}"
+    if op == "rotl":
+        amount = args[1]
+        return (
+            f"(({args[0]} << {amount}) | "
+            f"({args[0]} >> {64 - amount})) & {hex(MASK64)}"
+        )
+    if op == "xor":
+        return f"{args[0]} ^ {args[1]}"
+    if op == "or":
+        return f"{args[0]} | {args[1]}"
+    if op == "add":
+        return f"({args[0]} + {args[1]}) & {hex(MASK64)}"
+    if op == "aes_fold":
+        return f"({args[0]} ^ ({args[0]} >> 64)) & {hex(MASK64)}"
+    return None
+
+
 def emit_body_lines(
     func: IRFunction,
     indent: str = "    ",
@@ -124,51 +162,12 @@ def emit_body_lines(
     body_emitted = False
     for instr in func.instrs:
         op, dest, args = instr.opcode, instr.dest, instr.args
-        if op == "const":
-            lines.append(f"{indent}{dest} = {hex(args[0])}")
-        elif op == "load64":
-            offset, width = args
-            lines.append(
-                f"{indent}{dest} = "
-                f"_ifb(key[{offset}:{offset + width}], 'little')"
-            )
-        elif op == "pext":
-            lines.append(
-                f"{indent}{dest} = {_pext_expression(args[0], args[1])}"
-            )
-        elif op == "shl":
-            lines.append(
-                f"{indent}{dest} = ({args[0]} << {args[1]}) & {hex(MASK64)}"
-            )
-        elif op == "shr":
-            lines.append(f"{indent}{dest} = {args[0]} >> {args[1]}")
-        elif op == "mul64":
-            lines.append(
-                f"{indent}{dest} = ({args[0]} * {hex(args[1])}) & "
-                f"{hex(MASK64)}"
-            )
-        elif op == "rotl":
-            amount = args[1]
-            lines.append(
-                f"{indent}{dest} = (({args[0]} << {amount}) | "
-                f"({args[0]} >> {64 - amount})) & {hex(MASK64)}"
-            )
-        elif op == "xor":
-            lines.append(f"{indent}{dest} = {args[0]} ^ {args[1]}")
-        elif op == "or":
-            lines.append(f"{indent}{dest} = {args[0]} | {args[1]}")
-        elif op == "add":
-            lines.append(
-                f"{indent}{dest} = ({args[0]} + {args[1]}) & {hex(MASK64)}"
-            )
+        rhs = statement_rhs(op, args)
+        if rhs is not None:
+            lines.append(f"{indent}{dest} = {rhs}")
         elif op == "aes_absorb":
             state, lo, hi = args
             lines.extend(_emit_aes_absorb(dest, state, lo, hi, indent))
-        elif op == "aes_fold":
-            lines.append(
-                f"{indent}{dest} = ({args[0]} ^ ({args[0]} >> 64)) & "
-                f"{hex(MASK64)}"
-            )
         elif op == "tail_xor":
             acc, start = args
             lines.extend(

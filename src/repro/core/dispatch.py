@@ -31,6 +31,8 @@ from typing import (
     Union,
 )
 
+import numpy as _np
+
 from repro.core.fast_infer import ENGINE_AUTO
 from repro.core.inference import (
     KeyLike,
@@ -48,11 +50,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
 )
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy-less installs
-    _np = None
 
 HashCallable = Callable[[bytes], int]
 
@@ -427,12 +424,7 @@ class FormatDispatcher:
         ns/key on the reference container).  Heterogeneous batches and
         non-native routes fall back to :meth:`hash_many` plus one array
         conversion, so callers can use this unconditionally.
-
-        Raises:
-            RuntimeError: when NumPy is unavailable.
         """
-        if _np is None:
-            raise RuntimeError("hash_many_array requires NumPy")
         entry = self._homogeneous_entry(keys)
         if entry is not None and self._prefer_native:
             module = entry[3].native_module

@@ -35,16 +35,13 @@ from __future__ import annotations
 import os
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
+import numpy as _np
+
 from repro.core.pattern import KeyPattern
 from repro.core.quads import _BYTE_QUADS, QUADS_PER_BYTE, Quad, join_keys
 from repro.errors import EmptyKeySetError
 from repro.obs.metrics import get_registry
 from repro.obs.trace import span
-
-try:  # NumPy is optional everywhere in this codebase; gate, never require.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-less installs
-    _np = None
 
 KeyLike = Union[str, bytes]
 
@@ -75,11 +72,6 @@ def as_key_bytes(key: KeyLike) -> bytes:
     if isinstance(key, (bytes, bytearray)):
         return bytes(key)
     raise TypeError(f"keys must be str or bytes, got {type(key).__name__}")
-
-
-def numpy_available() -> bool:
-    """True when the NumPy column-reduce path can run at all."""
-    return _np is not None
 
 
 # -- mask <-> quad expansion ------------------------------------------------
@@ -208,8 +200,8 @@ class PatternAccumulator:
         """Fold a chunk of keys into the state; returns ``self``.
 
         Equal-length chunks of at least ``_NUMPY_MIN_KEYS`` bytes keys
-        take the NumPy column-reduce path when available (and when
-        ``engine`` allows it); everything else takes the big-int fold.
+        take the NumPy column-reduce path when ``engine`` allows it;
+        everything else takes the big-int fold.
         """
         if engine not in (ENGINE_AUTO, ENGINE_BIGINT, ENGINE_NUMPY):
             raise ValueError(f"unknown accumulator engine: {engine!r}")
@@ -218,7 +210,7 @@ class PatternAccumulator:
                 return self
             if engine == ENGINE_NUMPY:
                 raise ValueError(
-                    "numpy engine requires NumPy and a list of "
+                    "numpy engine requires a list of "
                     "equal-length byte keys"
                 )
         base_int = self._base_int
@@ -268,14 +260,14 @@ class PatternAccumulator:
     def _update_bulk(self, keys: Sequence[KeyLike], force: bool = False) -> bool:
         """NumPy column-reduce fast path; False when it does not apply.
 
-        Requires NumPy, a reasonably large chunk (unless ``force``-d by
-        an explicit engine choice), and equal-length ``bytes`` keys
+        Requires a reasonably large chunk (unless ``force``-d by an
+        explicit engine choice) and equal-length ``bytes`` keys
         (mixed lengths fall back to the big-int loop).  Reduces each
         chunk to per-column OR and AND; ``or ^ and`` is the set of bits
         that vary within the chunk, which merges into the running state
         exactly like a sub-accumulator would.
         """
-        if _np is None or (len(keys) < _NUMPY_MIN_KEYS and not force):
+        if len(keys) < _NUMPY_MIN_KEYS and not force:
             return False
         first = keys[0]
         if not isinstance(first, bytes):
@@ -375,8 +367,8 @@ def join_keys_numpy(keys: Sequence[bytes]) -> List[Quad]:
     """The reference join via NumPy column reduction.
 
     Raises:
-        ValueError: when NumPy is unavailable or the corpus is not a
-            list of equal-length byte keys of workable size.
+        ValueError: when the corpus is not a list of equal-length
+            byte keys of workable size.
     """
     acc = PatternAccumulator()
     if keys:
@@ -387,8 +379,7 @@ def join_keys_numpy(keys: Sequence[bytes]) -> List[Quad]:
 def choose_engine(keys: Sequence[bytes]) -> str:
     """Pick the fastest applicable engine for an in-memory corpus."""
     if (
-        _np is not None
-        and len(keys) >= _NUMPY_MIN_KEYS
+        len(keys) >= _NUMPY_MIN_KEYS
         and keys[0]
         and all(
             type(key) is bytes and len(key) == len(keys[0]) for key in keys

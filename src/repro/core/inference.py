@@ -31,7 +31,6 @@ from repro.core.fast_infer import (
     as_key_bytes,
     infer_pattern_fast,
     infer_pattern_parallel,
-    numpy_available,
 )
 from repro.core.pattern import KeyPattern
 from repro.errors import EmptyKeySetError
@@ -142,7 +141,7 @@ def coverage_report(keys: Sequence[KeyLike]) -> List[int]:
     key_bytes = [as_key_bytes(key) for key in keys]
     if not key_bytes:
         raise EmptyKeySetError("cannot analyze zero examples")
-    if numpy_available() and len(key_bytes) >= _COVERAGE_NUMPY_MIN_KEYS:
+    if len(key_bytes) >= _COVERAGE_NUMPY_MIN_KEYS:
         return _coverage_report_numpy(key_bytes)
     return _coverage_report_reference(key_bytes)
 

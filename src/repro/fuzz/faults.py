@@ -45,8 +45,8 @@ def injected_fault(kind: str) -> Iterator[None]:
         # route through the interpreter.
         original = interp_module._interpret
 
-        def flipped(func, key):
-            result = original(func, key)
+        def flipped(func, key, registers=None):
+            result = original(func, key, registers)
             if key and key[-1] & 1:
                 result ^= 1
             return result

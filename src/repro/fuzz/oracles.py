@@ -37,7 +37,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.codegen.interp import interpret
 from repro.codegen.ir import IRFunction, build_ir, optimize
 from repro.codegen.serialize import compile_serialized, dumps, loads
-from repro.core.fast_infer import PatternAccumulator, numpy_available
+from repro.core.fast_infer import PatternAccumulator
 from repro.core.inference import infer_pattern
 from repro.core.pattern import KeyPattern
 from repro.core.plan import HashFamily
@@ -233,7 +233,7 @@ def check_infer_engines(ctx: CaseContext) -> Optional[str]:
     keys = list(ctx.keys)
     reference = infer_pattern(keys, engine="reference")
     engines = ["bigint"]
-    if numpy_available() and len({len(key) for key in keys}) == 1:
+    if len({len(key) for key in keys}) == 1:
         # The numpy engine only accepts equal-length key batches (by
         # contract); ragged batches exercise the bigint engine alone.
         engines.append("numpy")

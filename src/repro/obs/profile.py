@@ -12,12 +12,15 @@ counts to individual IR opcodes:
   evaluation's elapsed time, and only corpus-level entry/exit
   bookkeeping escapes, so coverage against an externally measured wall
   clock sits above 99%.
-- **Batch-kernel profiling** (:func:`profile_batch`) re-executes the IR
-  over NumPy ``uint64`` lane arrays one opcode at a time — the same
-  lowering rules as :mod:`repro.codegen.batch`'s vector tier, with a
-  timestamp per array op — and falls back to interpreter attribution
-  when the plan does not vectorize.  Results are parity-checked against
-  the interpreter, so a profile is also a correctness witness.
+- **Batch-kernel profiling** (:func:`profile_batch`) times the vector
+  kernel :mod:`repro.codegen.batch` emits: the same statements, grouped
+  per IR instruction, compiled with a chained timestamp after each
+  group.  When the kernel would not vectorize — no vector lowering, or
+  its own guard sends the batch to the loop form (too few keys,
+  non-conforming lengths) — it falls back to interpreter attribution,
+  which is what the loop form executes per key.  Results are
+  parity-checked against the real batch kernel, so a profile is also a
+  correctness witness.
 - **Stage self-times** (:func:`self_time_tree`) turn captured span
   records into a tree where each node carries *self* wall/CPU time
   (total minus children), the shape ``sepe profile`` prints for the
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 from repro.obs.trace import SpanRecord
 
@@ -73,8 +76,8 @@ class ProfileReport:
     Attributes:
         label: plan identification (regex + family).
         family: hash family profiled.
-        mode: ``"interp"`` (scalar interpreter) or ``"vector"`` (NumPy
-            lane-array re-execution of the batch kernel's lowering).
+        mode: ``"interp"`` (scalar interpreter) or ``"vector"`` (the
+            batch kernel's NumPy lane-array statements).
         keys: number of keys evaluated.
         total_wall: the evaluator's own elapsed seconds (entry→exit).
         total_cpu: the evaluator's elapsed thread-CPU seconds.
@@ -161,12 +164,6 @@ def _stats_to_report(
     )
 
 
-def _ir_function(synthesized):
-    from repro.codegen.ir import build_ir, optimize
-
-    return optimize(build_ir(synthesized.plan))
-
-
 def profile_interp(synthesized, keys: Sequence[bytes]) -> ProfileReport:
     """Profile the IR interpreter over ``keys``, opcode by opcode.
 
@@ -175,8 +172,10 @@ def profile_interp(synthesized, keys: Sequence[bytes]) -> ProfileReport:
     on a sample, so the attribution demonstrably measures the same
     program it claims to.
     """
-    func = _ir_function(synthesized)
+    from repro.codegen.cache import lower
     from repro.codegen.interp import interpret_profiled_many
+
+    func = lower(synthesized.plan)
 
     stats: Dict[str, list] = {}
     started = time.perf_counter()
@@ -203,210 +202,87 @@ def profile_interp(synthesized, keys: Sequence[bytes]) -> ProfileReport:
     )
 
 
-class _NotVectorizable(Exception):
-    """Raised when a plan would not take the batch backend's vector tier."""
+_KERNEL_NAME = "sepe_profiled"
 
 
-def _profile_vector(func, keys: Sequence[bytes], stats: Dict[str, list]):
-    """Re-execute the IR over uint64 lane arrays, timing each opcode.
+def _timed_kernel(kernel, stats: Dict[str, list]):
+    """Compile the batch kernel's statements with a timestamp after each group.
 
-    Mirrors the lowering rules of
-    :func:`repro.codegen.batch._emit_vector_lines` — the same bail-out
-    conditions (variable length, per-plan scalar operands, 128-bit lane
-    pairs in plain arithmetic) raise :class:`_NotVectorizable`, so this
-    profiler only reports vector timings for plans whose real batch
-    kernel runs the vector tier.
+    Chained like :func:`repro.codegen.interp.interpret_profiled_many`:
+    each ``_tick`` attributes the time since the previous one to the
+    group that just ran, the kernel's prologue (length guard, join, byte
+    matrix) to ``"(batch setup)"``.  ``ret`` returns from the kernel, so
+    its tick follows the call.
+
+    Returns:
+        ``timed(keys)``, which returns ``(values, wall_seconds,
+        cpu_seconds)``, or None when the kernel's own guard sends the
+        batch to its loop form.
     """
-    import numpy as np
+    from repro.codegen.batch import _signature
+    from repro.codegen.python_backend import compile_source
 
-    from repro.codegen.ir import AES_ROUND_KEY
-    from repro.codegen.python_backend import _TTABLES
-    from repro.isa.bits import MASK64, mask_to_runs
+    lines = kernel.prologue + [_signature(_KERNEL_NAME)] + kernel.setup
+    lines.append("    _tick('(batch setup)')")
+    for opcode, group in kernel.groups:
+        lines.extend(group)
+        if opcode != "ret":
+            lines.append(f"    _tick({opcode!r})")
+    run = compile_source("\n".join(lines) + "\n", _KERNEL_NAME)
+    clock = [0.0, 0.0]
 
-    plan = func.plan
-    if not plan.is_fixed_length:
-        raise _NotVectorizable("variable-length plan")
-    length = plan.key_length
-    n = len(keys)
-
-    cpu_prev = time.thread_time()
-    wall_prev = time.perf_counter()
-    wall_entry, cpu_entry = wall_prev, cpu_prev
-
-    # The prologue the real vector kernel also pays — joining the batch
-    # into one buffer and viewing it as a byte matrix — is attributed to
-    # an explicit pseudo-stage so the vector profile stays exhaustive.
-    buf = b"".join(keys)
-    if len(buf) != n * length:
-        raise _NotVectorizable("non-conforming key lengths in batch")
-    arr = np.frombuffer(buf, dtype=np.uint8).reshape(n, length)
-    tables = [np.asarray(table, dtype=np.uint64) for table in _TTABLES]
-
-    cpu_now = time.thread_time()
-    wall_now = time.perf_counter()
-    stats["(batch setup)"] = [
-        1,
-        wall_now - wall_prev,
-        cpu_now - cpu_prev,
-    ]
-    wall_prev, cpu_prev = wall_now, cpu_now
-
-    registers: Dict[str, Any] = {}
-    wide: set = set()
-    scalars: set = set()
-    values: Optional[list] = None
-    for instr in func.instrs:
-        op, dest, args = instr.opcode, instr.dest, instr.args
-        if op == "const":
-            value = args[0]
-            if value >= 1 << 64:
-                wide.add(dest)
-                registers[dest] = (
-                    np.full(n, value & MASK64, dtype=np.uint64),
-                    np.full(n, value >> 64, dtype=np.uint64),
-                )
-            else:
-                scalars.add(dest)
-                registers[dest] = value
-        elif op == "load64":
-            offset, width = args
-            if width == 8:
-                registers[dest] = (
-                    np.ascontiguousarray(arr[:, offset : offset + 8])
-                    .view("<u8")
-                    .ravel()
-                )
-            else:
-                widened = np.zeros((n, 8), dtype=np.uint8)
-                widened[:, :width] = arr[:, offset : offset + width]
-                registers[dest] = widened.view("<u8").ravel()
-        elif op in ("pext", "shl", "shr", "mul64", "rotl", "xor", "or", "add"):
-            register_args = [arg for arg in args if isinstance(arg, str)]
-            if any(arg in scalars or arg in wide for arg in register_args):
-                raise _NotVectorizable(f"scalar/wide operand in {op}")
-            if op == "pext":
-                source = registers[args[0]]
-                out = np.zeros(n, dtype=np.uint64)
-                for shift, run_mask, out_pos in mask_to_runs(args[1]):
-                    term = (source >> np.uint64(shift)) & np.uint64(run_mask)
-                    out |= term << np.uint64(out_pos)
-                registers[dest] = out
-            elif op == "shl":
-                registers[dest] = registers[args[0]] << np.uint64(args[1])
-            elif op == "shr":
-                registers[dest] = registers[args[0]] >> np.uint64(args[1])
-            elif op == "mul64":
-                registers[dest] = registers[args[0]] * np.uint64(args[1])
-            elif op == "rotl":
-                source = registers[args[0]]
-                amount = args[1]
-                registers[dest] = (source << np.uint64(amount)) | (
-                    source >> np.uint64(64 - amount)
-                )
-            elif op == "xor":
-                registers[dest] = registers[args[0]] ^ registers[args[1]]
-            elif op == "or":
-                registers[dest] = registers[args[0]] | registers[args[1]]
-            else:  # add
-                registers[dest] = registers[args[0]] + registers[args[1]]
-        elif op == "aes_absorb":
-            state, lo, hi = args
-            if lo in scalars or hi in scalars:
-                raise _NotVectorizable("scalar lane in aes_absorb")
-            if state in wide:
-                state_lo, state_hi = registers[state]
-            else:
-                state_value = registers[state]
-                if isinstance(state_value, int):
-                    state_lo = np.full(
-                        n, state_value & MASK64, dtype=np.uint64
-                    )
-                    state_hi = np.full(n, state_value >> 64, dtype=np.uint64)
-                else:
-                    state_lo, state_hi = state_value, np.zeros(
-                        n, dtype=np.uint64
-                    )
-            xl = state_lo ^ registers[lo]
-            xh = state_hi ^ registers[hi]
-            from repro.codegen.python_backend import _AES_GATHER
-
-            columns = []
-            for col in range(4):
-                acc = None
-                for row in range(4):
-                    shift = 8 * _AES_GATHER[col][row]
-                    lane, local = (xl, shift) if shift < 64 else (
-                        xh,
-                        shift - 64,
-                    )
-                    index = (lane >> np.uint64(local)) & np.uint64(0xFF)
-                    term = tables[row][index.astype(np.intp)]
-                    acc = term if acc is None else acc ^ term
-                columns.append(acc)
-            round_lo = np.uint64(AES_ROUND_KEY & MASK64)
-            round_hi = np.uint64(AES_ROUND_KEY >> 64)
-            registers[dest] = (
-                (columns[0] | (columns[1] << np.uint64(32))) ^ round_lo,
-                (columns[2] | (columns[3] << np.uint64(32))) ^ round_hi,
-            )
-            wide.add(dest)
-        elif op == "aes_fold":
-            source = args[0]
-            if source not in wide:
-                raise _NotVectorizable("aes_fold of a narrow register")
-            lane_lo, lane_hi = registers[source]
-            registers[dest] = lane_lo ^ lane_hi
-        elif op == "ret":
-            returned = args[0]
-            if returned in scalars or returned in wide:
-                raise _NotVectorizable("ret of a non-lane register")
-            values = registers[returned].tolist()
-        else:
-            raise _NotVectorizable(f"opcode {op} has no vector lowering")
+    def tick(opcode: str) -> None:
         cpu_now = time.thread_time()
         wall_now = time.perf_counter()
-        entry = stats.get(op)
+        entry = stats.get(opcode)
         if entry is None:
-            entry = stats[op] = [0, 0.0, 0.0]
+            entry = stats[opcode] = [0, 0.0, 0.0]
         entry[0] += 1
-        entry[1] += wall_now - wall_prev
-        entry[2] += cpu_now - cpu_prev
-        wall_prev = wall_now
-        cpu_prev = cpu_now
-        if values is not None:
-            break
-    if values is None:
-        raise _NotVectorizable("IR function fell off the end without ret")
-    return values, wall_prev - wall_entry, cpu_prev - cpu_entry
+        entry[1] += wall_now - clock[0]
+        entry[2] += cpu_now - clock[1]
+        clock[0] = wall_now
+        clock[1] = cpu_now
+
+    run.__globals__["_tick"] = tick
+    run.__globals__[f"_{_KERNEL_NAME}_rows"] = lambda keys: None
+
+    def timed(keys: Sequence[bytes]):
+        cpu_entry = clock[1] = time.thread_time()
+        wall_entry = clock[0] = time.perf_counter()
+        values = run(keys)
+        if values is None:
+            return None
+        tick("ret")
+        return values, clock[0] - wall_entry, clock[1] - cpu_entry
+
+    return timed
 
 
 def profile_batch(synthesized, keys: Sequence[bytes]) -> ProfileReport:
     """Profile the batch kernel's work, opcode by opcode.
 
-    Vectorizable plans are re-executed over NumPy lane arrays with one
-    timestamp per array op (mode ``"vector"``), and the profiled values
-    are parity-checked against the real ``hash_many`` kernel.  Plans the
-    batch backend would lower to its loop form — and environments
-    without NumPy — fall back to interpreter attribution (mode
-    ``"interp"``), which is what the generated loop executes per key
-    anyway.
+    When the real ``hash_many`` kernel would run its vector tier, its
+    own statements run with one timestamp per IR instruction (mode
+    ``"vector"``) and the values are parity-checked against that kernel.
+    Otherwise — a plan without a vector lowering, or a batch the
+    kernel's guard sends to its loop form — this falls back to
+    interpreter attribution (mode ``"interp"``), which is what the
+    generated loop executes per key anyway.
     """
-    func = _ir_function(synthesized)
-    from repro.codegen.batch import HAVE_NUMPY
+    from repro.codegen.batch import _emit_vector_lines
+    from repro.codegen.cache import lower
 
-    if HAVE_NUMPY:
+    kernel = _emit_vector_lines(lower(synthesized.plan), _KERNEL_NAME)
+    if kernel is not None:
+        keys = list(keys)
         stats: Dict[str, list] = {}
+        timed_kernel = _timed_kernel(kernel, stats)
         started = time.perf_counter()
-        try:
-            values, total_wall, total_cpu = _profile_vector(
-                func, keys, stats
-            )
-        except _NotVectorizable:
-            values = None
-        if values is not None:
-            harness_wall = time.perf_counter() - started
-            expected = synthesized.batch_function(list(keys))
-            if values != expected:  # pragma: no cover - parity guard
+        timed = timed_kernel(keys)
+        harness_wall = time.perf_counter() - started
+        if timed is not None:
+            values, total_wall, total_cpu = timed
+            if values != synthesized.batch_function(keys):  # pragma: no cover
                 raise AssertionError(
                     "vector profiler diverged from the batch kernel"
                 )
@@ -420,8 +296,7 @@ def profile_batch(synthesized, keys: Sequence[bytes]) -> ProfileReport:
                 total_cpu=total_cpu,
                 harness_wall=harness_wall,
             )
-    report = profile_interp(synthesized, keys)
-    return report
+    return profile_interp(synthesized, keys)
 
 
 def profile_format(

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.codegen.cache import get_compile_cache
+from repro.codegen.interp import STEPS
 from repro.core.analysis import analyze_fixed_loads, analyze_variable_loads
 from repro.core.inference import infer_pattern
 from repro.core.masks import extraction_masks, fold_rotations
@@ -152,19 +153,6 @@ def _resolve_format(
                 f"meaningful over conforming keys"
             )
     return pattern
-
-
-def _tail_fold(key: bytes, start: int) -> int:
-    """The exact value ``tail_xor`` folds in for this key (interp.py)."""
-    acc = 0
-    position = start
-    length = len(key)
-    while position + 8 <= length:
-        acc ^= int.from_bytes(key[position : position + 8], "little")
-        position += 8
-    if position < length:
-        acc ^= int.from_bytes(key[position:length], "little")
-    return acc
 
 
 def _structured_layout(
@@ -451,8 +439,10 @@ def _search_plan(
         extra = None
         if not pattern.is_fixed_length:
             tail_start = baseline.tail_start or pattern.body_length
+            # The exact value ``tail_xor`` folds into a zero accumulator.
+            tail_xor = STEPS["tail_xor"]
             extra = [
-                (len(key), _tail_fold(key, tail_start)) for key in keys
+                (len(key), tail_xor({}, (0, tail_start), key)) for key in keys
             ]
         if not pool:
             # Nothing to select: a single key, or keys that differ only

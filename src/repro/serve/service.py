@@ -41,6 +41,8 @@ from typing import (
     Union,
 )
 
+import numpy as _np
+
 from repro.core.fast_infer import as_key_bytes, infer_pattern_fast
 from repro.core.inference import KeyLike
 from repro.core.plan import HashFamily
@@ -57,11 +59,6 @@ from repro.serve.shard import (
     Shard,
     SinkCallable,
 )
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy-less installs
-    _np = None
 
 SWAP_MS_BUCKETS = exponential_buckets(1.0, 2.0, 14)
 """Histogram edges for hot-swap latency: 1 ms .. ~8 s."""
@@ -279,12 +276,7 @@ class HashService:
         Homogeneous batches served by a native-backed route skip list
         boxing entirely; everything else goes through
         :meth:`hash_many` and converts.
-
-        Raises:
-            RuntimeError: when NumPy is unavailable.
         """
-        if _np is None:
-            raise RuntimeError("hash_many_array requires NumPy")
         shard = self.shard_for_caller()
         if keys:
             table = shard.table

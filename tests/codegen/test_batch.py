@@ -11,7 +11,6 @@ import random
 import pytest
 
 from repro.codegen.batch import (
-    HAVE_NUMPY,
     VECTOR_MIN_KEYS,
     _expression_body,
     compile_plan_batch,
@@ -101,7 +100,6 @@ class TestBatchParityVariableLength:
         assert "_np" not in emit_python_batch(func, "hash_many")
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="vector tier needs numpy")
 class TestVectorTier:
     @pytest.mark.parametrize("family", list(HashFamily))
     def test_fixed_length_emits_vector_source(self, family):

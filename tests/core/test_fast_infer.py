@@ -23,7 +23,6 @@ from repro.core.fast_infer import (
     join_keys_bigint,
     join_keys_fast,
     join_keys_numpy,
-    numpy_available,
 )
 from repro.core.inference import (
     _coverage_report_reference,
@@ -33,10 +32,6 @@ from repro.core.inference import (
 )
 from repro.core.quads import join_keys, quads_const_mask
 from repro.errors import EmptyKeySetError
-
-needs_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="NumPy not installed"
-)
 
 
 def random_corpus(rng, n, min_len, max_len, alphabet=None):
@@ -76,7 +71,6 @@ class TestJoinParity:
     def test_auto_engine_matches_reference_adversarial(self, keys):
         assert join_keys_fast(keys) == join_keys(keys)
 
-    @needs_numpy
     @pytest.mark.parametrize(
         "keys",
         [corpus for corpus in ADVERSARIAL_CORPORA
@@ -105,17 +99,14 @@ class TestJoinParity:
                 keys = random_corpus(rng, 50, 6, 6, alphabet=alphabet)
                 reference = join_keys(keys)
                 assert join_keys_bigint(keys) == reference
-                if numpy_available():
-                    assert join_keys_numpy(keys) == reference
+                assert join_keys_numpy(keys) == reference
 
-    @needs_numpy
     def test_fuzz_numpy_equal_length(self):
         rng = random.Random(7)
         for length in (1, 2, 7, 8, 9, 16, 33):
             keys = random_corpus(rng, 100, length, length)
             assert join_keys_numpy(keys) == join_keys(keys)
 
-    @needs_numpy
     def test_numpy_engine_rejects_mixed_lengths(self):
         with pytest.raises(ValueError):
             join_keys_numpy([b"ab", b"abc"])
@@ -126,8 +117,7 @@ class TestJoinParity:
 
     def test_choose_engine_prefers_numpy_for_large_uniform(self):
         keys = [b"abcd"] * 100
-        expected = ENGINE_NUMPY if numpy_available() else ENGINE_BIGINT
-        assert choose_engine(keys) == expected
+        assert choose_engine(keys) == ENGINE_NUMPY
         assert choose_engine([b"ab", b"abc"] * 50) == ENGINE_BIGINT
         assert choose_engine([b"abcd"] * 3) == ENGINE_BIGINT
 
@@ -222,7 +212,6 @@ class TestPatternAccumulator:
             [b"abc", b"abd", b"ab", b"zz"]
         )
 
-    @needs_numpy
     def test_bulk_numpy_update_matches_scalar(self):
         rng = random.Random(11)
         keys = random_corpus(rng, 300, 8, 8)

@@ -130,6 +130,22 @@ class TestOraclesCatchBugs:
         # And the healthy pipeline is restored on exit.
         assert check_python_vs_interp(CaseContext(case)) is None
 
+    def test_interp_fault_reaches_the_registers_entry_point(self):
+        from repro.codegen.interp import interpret, interpret_registers
+        from repro.codegen.ir import build_ir, optimize
+        from repro.core.plan import HashFamily
+        from repro.core.synthesis import synthesize
+        from repro.fuzz.faults import injected_fault
+
+        synthesized = synthesize(r"\d{3}-\d{2}-\d{4}", HashFamily.PEXT)
+        func = optimize(build_ir(synthesized.plan))
+        key = b"123-45-6789"  # odd last byte: the fault flips it
+        with injected_fault("interp-bitflip"):
+            flipped = interpret(func, key)
+            value, registers = interpret_registers(func, key)
+        assert value == flipped == synthesized(key) ^ 1
+        assert registers
+
     def test_batch_fault_caught_by_batch_oracle(self):
         from repro.fuzz.faults import injected_fault
         from repro.fuzz.oracles import check_batch_vs_scalar

@@ -5,6 +5,7 @@ import pytest
 from repro.codegen.interp import interpret, interpret_profiled_many
 from repro.codegen.ir import build_ir, optimize
 from repro.core.plan import HashFamily
+from repro.core.regex_expand import pattern_from_regex
 from repro.core.synthesis import build_plan, synthesize
 from repro.core.validate import sample_conforming_keys
 from repro.obs import capture_spans
@@ -64,6 +65,34 @@ class TestProfiledInterpreter:
         assert attributed == pytest.approx(wall, rel=1e-9)
         attributed_cpu = sum(entry[2] for entry in stats.values())
         assert attributed_cpu == pytest.approx(cpu, rel=1e-9)
+
+    def test_tail_xor_parity(self):
+        synthesized = synthesize(r"abcdefgh[0-9]{4}.*", HashFamily.OFFXOR)
+        func = optimize(build_ir(synthesized.plan))
+        assert "tail_xor" in {instr.opcode for instr in func.instrs}
+        keys = [b"abcdefgh1234" + b"x" * extra for extra in range(20)]
+        stats = {}
+        values, _wall, _cpu = interpret_profiled_many(func, keys, stats)
+        assert values == [interpret(func, key) for key in keys]
+        assert stats["tail_xor"][0] == len(keys)
+
+    def test_immediate_operand_parity(self):
+        from repro.codegen.ir import IRFunction
+
+        plan = build_plan(pattern_from_regex(r"\d{8}"), HashFamily.NAIVE)
+        func = IRFunction("imm", plan)
+        word = func.emit("load64", (0, 8))
+        mixed = func.emit("xor", (word, 0x5A5A))
+        summed = func.emit("add", (0xFFFFFFFFFFFFFFFF, mixed))
+        folded = func.emit("tail_xor", (summed, 8))
+        func.emit_ret(folded)
+        constant = IRFunction("imm_ret", plan)
+        constant.emit_ret(0x1234)
+        keys = [b"12345678", b"87654321", b"12345678tail"]
+        for subject in (func, constant):
+            values, _wall, _cpu = interpret_profiled_many(subject, keys, {})
+            assert values == [interpret(subject, key) for key in keys]
+        assert interpret(constant, keys[0]) == 0x1234
 
     def test_unknown_opcode_raises(self):
         import dataclasses
@@ -126,6 +155,29 @@ class TestProfileReports:
         # interpreter's because timestamps bracket whole array ops.
         assert report.coverage >= 0.85
         assert "(batch setup)" in report.opcodes
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_profile_batch_times_the_kernel_schedule(self, family):
+        synthesized = synthesize(SSN, family)
+        report = profile_batch(synthesized, _keys(synthesized, count=300))
+        assert report.mode == "vector"
+        assert report.coverage >= 0.85
+        # Every instruction of the batch kernel runs once per batch.
+        expected = {"(batch setup)": 1}
+        for instr in optimize(build_ir(synthesized.plan)).instrs:
+            expected[instr.opcode] = expected.get(instr.opcode, 0) + 1
+        counts = {op: stat.count for op, stat in report.opcodes.items()}
+        assert counts == expected
+
+    def test_profile_batch_below_vector_minimum_uses_interp(self):
+        from repro.codegen.batch import VECTOR_MIN_KEYS
+
+        synthesized = synthesize(SSN, HashFamily.PEXT)
+        keys = _keys(synthesized, count=8)
+        assert len(keys) < VECTOR_MIN_KEYS
+        report = profile_batch(synthesized, keys)
+        assert report.mode == "interp"
+        assert "(batch setup)" not in report.opcodes
 
     def test_profile_batch_falls_back_for_variable_length(self):
         synthesized = synthesize(r"[a-z]+@corp\.com", HashFamily.OFFXOR)
