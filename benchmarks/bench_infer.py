@@ -51,13 +51,11 @@ def main(argv=None) -> int:
     parser.add_argument("--keys", type=int, default=100_000)
     parser.add_argument("--key-len", type=int, default=16)
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--jobs", type=int, default=2)
     args = parser.parse_args(argv)
     report = compare_infer(
         num_keys=args.keys,
         key_len=args.key_len,
         repeats=args.repeats,
-        jobs=args.jobs,
     )
     print(render_comparison(report))
     write_report(report, args.out)

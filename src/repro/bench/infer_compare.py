@@ -19,7 +19,7 @@ import json
 import platform
 import random
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Sequence
 
 from repro.core.fast_infer import (
     PatternAccumulator,
@@ -84,19 +84,11 @@ def _accumulator_join(keys: Sequence[bytes]) -> List[Quad]:
     return accumulator.joined_quads()
 
 
-def _parallel_join(keys: Sequence[bytes], jobs: int) -> List[Quad]:
-    """Sharded row: the multi-core driver, reduced back to quads."""
-    from repro.core.fast_infer import infer_pattern_parallel
-
-    return list(infer_pattern_parallel(keys, jobs=jobs).quads)
-
-
 def compare_infer(
     num_keys: int = 100_000,
     key_len: int = 16,
     repeats: int = 3,
     seed: int = 0,
-    jobs: Optional[int] = 2,
 ) -> Dict[str, Any]:
     """Time every inference engine against the reference join.
 
@@ -120,7 +112,6 @@ def compare_infer(
             "key_len": key_len,
             "repeats": repeats,
             "seed": seed,
-            "jobs": jobs,
         },
         "corpora": [],
     }
@@ -147,10 +138,6 @@ def compare_infer(
             ]
             if name == "fixed":
                 engines.append(("numpy", lambda: join_keys_numpy(keys)))
-            if jobs and jobs > 1:
-                engines.append(
-                    ("parallel", lambda: _parallel_join(keys, jobs))
-                )
             for engine_name, run in engines:
                 seconds = _time_engine(run, repeats)
                 rows.append(

@@ -26,7 +26,9 @@ memory:
 
 ``sepe bench --compare BENCH_LEDGER.json`` measures a fresh smoke
 sample and verdicts it against the committed baseline; the CI
-``bench-regression-gate`` job fails on any ``regression`` verdict.
+``bench-regression-gate`` job fails on any ``regression`` verdict, and
+on any ``new`` verdict in a gated family (:data:`GATED_FAMILIES`): a
+smoke row without a baseline would otherwise pass whatever its speed.
 Rebuild the committed ledger with ``python -m repro.bench.ledger``.
 """
 
@@ -53,6 +55,25 @@ CROSS_HOST_FACTOR = 2.0
 
 _STATUS_ORDER = ("regression", "missing", "new", "improvement", "ok",
                  "skipped")
+
+GATED_FAMILIES = ("batch", "serve", "perfect")
+"""Id families the smoke compare measures and gates."""
+
+SMOKE_KEY_TYPES = ("SSN", "MAC")
+"""Key types of the batch smoke rows."""
+
+SERVE_SMOKE_SHARD_COUNTS = (1, 2, 4)
+"""Shard counts of the serve smoke rows."""
+
+
+def batch_entry_id(key_type: str, family: str, tier: str) -> str:
+    """Id of one batch smoke row, e.g. ``batch/SSN/pext/scalar_ns_per_key``."""
+    return f"batch/{key_type}/{family}/{tier}_ns_per_key"
+
+
+def serve_entry_id(shards: int) -> str:
+    """Id of one serve smoke row, e.g. ``serve/scaling/shards4/ns_per_key``."""
+    return f"serve/scaling/shards{shards}/ns_per_key"
 
 
 def _utc_stamp() -> str:
@@ -232,7 +253,7 @@ def normalize_serve_report(report: Dict[str, Any]) -> List[LedgerEntry]:
         samples = [float(s) for s in row.get("samples_ns_per_key", [])]
         entries.append(
             LedgerEntry(
-                id=f"serve/scaling/shards{row['shards']}/ns_per_key",
+                id=serve_entry_id(row["shards"]),
                 value=float(row["ns_per_key"]),
                 samples=samples,
                 repeats=len(samples),
@@ -316,7 +337,7 @@ def normalize_report(report: Dict[str, Any]) -> List[LedgerEntry]:
 
 
 def collect_smoke_entries(
-    key_types: Sequence[str] = ("SSN", "MAC"),
+    key_types: Sequence[str] = SMOKE_KEY_TYPES,
     families: Optional[Sequence[Any]] = None,
     keys_per_type: int = 4000,
     repeats: int = 5,
@@ -360,37 +381,20 @@ def collect_smoke_entries(
                 * scale
                 for _ in range(repeats)
             ]
-            stem = f"batch/{spec.name}/{family.value}"
-            entries.append(
-                LedgerEntry(
-                    id=f"{stem}/scalar_ns_per_key",
-                    value=min(scalar),
-                    samples=scalar,
-                    repeats=repeats,
-                    source="smoke",
-                )
-            )
-            entries.append(
-                LedgerEntry(
-                    id=f"{stem}/batch_ns_per_key",
-                    value=min(batch),
-                    samples=batch,
-                    repeats=repeats,
-                    source="smoke",
-                )
-            )
+            tiers = {"scalar": scalar, "batch": batch}
             native_batch = synthesized.native_batch_function
             if native_batch is not None:
-                native = [
+                tiers["native"] = [
                     measure_h_time_batch(native_batch, keys, repeats=1)
                     * scale
                     for _ in range(repeats)
                 ]
+            for tier, samples in tiers.items():
                 entries.append(
                     LedgerEntry(
-                        id=f"{stem}/native_ns_per_key",
-                        value=min(native),
-                        samples=native,
+                        id=batch_entry_id(spec.name, family.value, tier),
+                        value=min(samples),
+                        samples=samples,
                         repeats=repeats,
                         source="smoke",
                     )
@@ -399,7 +403,7 @@ def collect_smoke_entries(
 
 
 def collect_serve_smoke_entries(
-    shard_counts: Sequence[int] = (1, 2, 4),
+    shard_counts: Sequence[int] = SERVE_SMOKE_SHARD_COUNTS,
     threads: int = 4,
     keys_per_thread: int = 20_000,
     repeats: int = 3,
@@ -429,7 +433,7 @@ def collect_serve_smoke_entries(
         samples = [float(s) for s in row["samples_ns_per_key"]]
         entries.append(
             LedgerEntry(
-                id=f"serve/scaling/shards{row['shards']}/ns_per_key",
+                id=serve_entry_id(row["shards"]),
                 value=float(row["ns_per_key"]),
                 samples=samples,
                 repeats=len(samples),
@@ -713,6 +717,20 @@ def compare_ledger(
 def regression_count(verdicts: Sequence[Verdict]) -> int:
     """Number of confirmed regressions (the CI gate's exit signal)."""
     return sum(1 for verdict in verdicts if verdict.status == "regression")
+
+
+def gate_failures(verdicts: Sequence[Verdict]) -> List[Verdict]:
+    """Verdicts that fail the gate: confirmed regressions, and rows of a
+    gated family measured without a baseline to compare against."""
+    return [
+        verdict
+        for verdict in verdicts
+        if verdict.status == "regression"
+        or (
+            verdict.status == "new"
+            and verdict.entry_id.split("/")[0] in GATED_FAMILIES
+        )
+    ]
 
 
 def render_verdicts(verdicts: Sequence[Verdict]) -> str:

@@ -11,7 +11,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.core.fast_infer import ENGINES, infer_pattern_parallel
+from repro.core.fast_infer import ENGINES
 from repro.core.inference import infer_pattern, infer_pattern_from_file
 from repro.core.regex_render import render_regex
 from repro.errors import SepeError
@@ -33,13 +33,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also print the quad pattern (constant-bit template per byte)",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="shard the join over N worker processes (0 = all cores)",
-    )
-    parser.add_argument(
         "--engine",
         choices=ENGINES,
         default="auto",
@@ -52,10 +45,8 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
-    jobs = args.jobs if args.jobs > 0 else None  # None = all cores
-    parallel = jobs is None or jobs > 1
     try:
-        if args.file and not parallel and args.engine == "auto":
+        if args.file and args.engine == "auto":
             # Stream the file through the accumulator: bounded memory.
             pattern = infer_pattern_from_file(args.file)
         else:
@@ -65,10 +56,7 @@ def run(argv: Optional[List[str]] = None) -> int:
             else:
                 lines = sys.stdin.read().splitlines()
             keys = [line for line in lines if line]
-            if parallel:
-                pattern = infer_pattern_parallel(keys, jobs=jobs)
-            else:
-                pattern = infer_pattern(keys, engine=args.engine)
+            pattern = infer_pattern(keys, engine=args.engine)
     except OSError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1

@@ -970,8 +970,9 @@ def _run_bench_batch(args: argparse.Namespace) -> int:
 def _run_bench_compare(args: argparse.Namespace) -> int:
     """Noise-aware regression check against a committed ledger.
 
-    Exit code 1 means at least one confirmed regression — the CI gate's
-    failure signal; ``new``/``missing``/``skipped`` verdicts are
+    Exit code 1 means at least one confirmed regression, or a ``new``
+    row (no baseline) in a gated family — the CI gate's failure signal;
+    ``missing``/``skipped`` verdicts and ``new`` rows elsewhere are
     informational only.
     """
     from repro.bench import ledger as bench_ledger
@@ -982,23 +983,28 @@ def _run_bench_compare(args: argparse.Namespace) -> int:
             f"error: cannot read ledger {args.compare}", file=sys.stderr
         )
         return 2
+    repeats = max(args.samples, 5)
     print(
         f"measuring smoke sample ({args.keys} keys x "
-        f"{max(args.samples, 5)} repeats per cell)...",
+        f"{repeats} repeats per cell)...",
         file=sys.stderr,
     )
     entries = bench_ledger.collect_smoke_entries(
         key_types=args.key_types,
         keys_per_type=args.keys,
-        repeats=max(args.samples, 5),
+        repeats=repeats,
     )
     # Serve scaling rows ride along whenever the baseline recorded any,
     # so the sharded hot path is regression-gated like the kernels.
+    # Same repeat count as ``python -m repro.bench.ledger --serve``
+    # records: each row's value is a minimum over its samples.
     if any(
         entry_id.startswith("serve/scaling/")
         for entry_id in baseline.get("entries", {})
     ):
-        entries.extend(bench_ledger.collect_serve_smoke_entries())
+        entries.extend(
+            bench_ledger.collect_serve_smoke_entries(repeats=repeats)
+        )
     # Likewise the perfect tier: whenever the baseline carries perfect/
     # rows, re-measure the certified lookup paths so a regression in the
     # perfect fast path fails the same gate.
@@ -1015,7 +1021,16 @@ def _run_bench_compare(args: argparse.Namespace) -> int:
     )
     print(render_fingerprint_delta(baseline))
     print(bench_ledger.render_verdicts(verdicts))
-    return 1 if bench_ledger.regression_count(verdicts) else 0
+    failures = bench_ledger.gate_failures(verdicts)
+    unbaselined = [v.entry_id for v in failures if v.status == "new"]
+    if unbaselined:
+        print(
+            f"error: {len(unbaselined)} gated rows have no baseline in "
+            f"{args.compare} (first: {unbaselined[0]}); re-record it "
+            "with python -m repro.bench.ledger",
+            file=sys.stderr,
+        )
+    return 1 if failures else 0
 
 
 def render_fingerprint_delta(ledger: "dict") -> str:
@@ -1046,13 +1061,6 @@ def build_parser() -> argparse.ArgumentParser:
     infer = subparsers.add_parser("infer", help="infer a regex from keys")
     infer.add_argument("file", nargs="?")
     infer.add_argument("--show-pattern", action="store_true")
-    infer.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="shard the join over N worker processes (0 = all cores)",
-    )
     infer.add_argument(
         "--engine",
         default="auto",
@@ -1443,7 +1451,7 @@ def run(argv: Optional[List[str]] = None) -> int:
         return keybuilder.run(
             ([args.file] if args.file else [])
             + (["--show-pattern"] if args.show_pattern else [])
-            + ["--jobs", str(args.jobs), "--engine", args.engine]
+            + ["--engine", args.engine]
         )
     if args.command == "synth":
         argv_out = [args.regex, "--emit", args.emit, "--target", args.target]

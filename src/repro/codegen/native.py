@@ -331,8 +331,7 @@ def native_enabled() -> bool:
     """Whether the native tier is allowed at all (``SEPE_NATIVE`` env).
 
     ``SEPE_NATIVE=0`` force-disables the tier (probing included);
-    anything else — including unset — leaves it on.  The dispatcher's
-    ``prefer_native`` default reads the same variable.
+    anything else — including unset — leaves it on.
     """
     return os.environ.get("SEPE_NATIVE", "1") != "0"
 

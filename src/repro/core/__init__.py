@@ -23,7 +23,6 @@ This package implements the paper's primary contribution:
 
 from repro.core.fast_infer import (
     PatternAccumulator,
-    infer_pattern_parallel,
     join_keys_fast,
 )
 from repro.core.inference import coverage_report, infer_pattern
@@ -56,7 +55,6 @@ __all__ = [
     "explain",
     "explain_format",
     "infer_pattern",
-    "infer_pattern_parallel",
     "join_keys_fast",
     "invert_hash",
     "invertible",

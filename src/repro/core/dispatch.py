@@ -7,17 +7,20 @@ the answer — Polymur branches on key length before hashing — and SEPE
 itself falls back to the standard hash for sub-word keys (footnote 5).
 
 :class:`FormatDispatcher` automates that pattern over synthesized
-functions: each registered format gets a specialized hash; at call time
-the dispatcher routes by key length first (an O(1) dict probe, since
-SEPE formats are fixed-length) and by template match when lengths
-collide; anything unrecognized goes to the general-purpose fallback.
-The common fast path — unique length, no verification — costs one dict
-lookup over calling the specialized function directly.
+functions.  It is a single-lane view over the serve layer's routing
+objects: each registered format becomes a
+:class:`~repro.serve.routes.RouteState` (its scalar and batch tiers
+chosen once, at registration) in an immutable
+:class:`~repro.serve.routes.RouteTable`, which routes by key length
+where one format owns the length and by template match where formats
+contest it; anything unrecognized goes to the general-purpose fallback.
+The dispatcher adds only the per-route counters, latency histograms and
+``stats()`` snapshot.
 """
 
 from __future__ import annotations
 
-import os
+import itertools
 import threading
 import time
 from typing import (
@@ -31,17 +34,11 @@ from typing import (
     Union,
 )
 
-import numpy as _np
-
 from repro.core.fast_infer import ENGINE_AUTO
-from repro.core.inference import (
-    KeyLike,
-    infer_pattern,
-    infer_pattern_parallel,
-)
+from repro.core.inference import KeyLike, infer_pattern
 from repro.core.pattern import KeyPattern
 from repro.core.plan import HashFamily
-from repro.core.synthesis import SynthesizedHash, synthesize
+from repro.core.synthesis import SynthesizedHash
 from repro.errors import SynthesisError
 from repro.hashes.murmur_stl import stl_hash_bytes
 from repro.obs.metrics import (
@@ -50,18 +47,11 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
 )
+from repro.serve.routes import RouteState, RouteTable, build_route_state
 
 HashCallable = Callable[[bytes], int]
 
 FormatSource = Union[str, KeyPattern, SynthesizedHash]
-
-_Entry = Tuple[
-    KeyPattern,
-    HashCallable,
-    Counter,
-    SynthesizedHash,
-    Optional[Histogram],
-]
 
 
 class FormatDispatcher:
@@ -71,17 +61,18 @@ class FormatDispatcher:
     route counter and misses land on a fallback counter, all held in a
     :class:`repro.obs.metrics.MetricsRegistry` (a private one by
     default, so two dispatchers never share counts).  A counter bump is
-    one integer add, so the fast path stays one dict probe plus one add.
-    :meth:`stats` snapshots the traffic split.
+    one integer add, so the fast path stays a length probe, a counter
+    lookup and one add.  :meth:`stats` snapshots the traffic split.
 
     Args:
         fallback: general-purpose hash for unrecognized keys (defaults to
             the STL murmur port, matching SEPE's own fallback rule).
-        verify: when True, even a unique-length match is template-checked
-            before the specialized function runs; non-conforming keys go
-            to the fallback.  Off by default — the paper's functions also
-            assume conforming input (footnote 3's "assume you do not need
-            to assert key format").
+        verify: when True, every key is template-checked before a
+            specialized function runs (the route table trusts no
+            length); non-conforming keys go to the fallback.  Off by
+            default — the paper's functions also assume conforming
+            input (footnote 3's "assume you do not need to assert key
+            format").
         registry: metrics registry holding the route counters; pass a
             shared registry to aggregate several dispatchers.
         latency: when True, every hashed key (and every ``hash_many``
@@ -89,16 +80,14 @@ class FormatDispatcher:
             (``dispatch.latency_ns.<label>``, exponential
             :data:`~repro.obs.metrics.NS_LATENCY_BUCKETS` edges) — the
             scrape surface the metric exporters publish.  Off by
-            default: the untimed fast path stays one dict probe plus
-            one counter add.
+            default.
         prefer_native: when True, registration eagerly JIT-compiles each
-            format's emitted C++ (through the compile cache) and routes
-            scalar calls and ``hash_many`` groups to the native entry
-            points; formats whose native tier degrades (no compiler,
-            unsupported ISA) silently keep the Python/NumPy path, so the
-            dispatcher works identically on hosts without a toolchain.
-            Defaults to the ``SEPE_NATIVE_DISPATCH=1`` environment
-            toggle (off otherwise).
+            format's emitted C++ (through the compile cache) and its
+            route may serve scalar calls and batches from the native
+            entry points; formats whose native tier degrades (no
+            compiler, unsupported ISA) keep the Python/NumPy path, so
+            the dispatcher works identically on hosts without a
+            toolchain.
     """
 
     def __init__(
@@ -107,17 +96,14 @@ class FormatDispatcher:
         verify: bool = False,
         registry: Optional[MetricsRegistry] = None,
         latency: bool = False,
-        prefer_native: Optional[bool] = None,
+        prefer_native: bool = False,
     ):
-        if prefer_native is None:
-            prefer_native = (
-                os.environ.get("SEPE_NATIVE_DISPATCH", "") == "1"
-            )
         self._prefer_native = bool(prefer_native)
         self._fallback = fallback
-        self._verify = verify
-        self._by_length: Dict[int, List[_Entry]] = {}
-        self._variable: List[_Entry] = []
+        self._table = RouteTable((), trust_length=not verify)
+        self._serials = itertools.count()
+        # route_id -> (route counter, latency histogram or None).
+        self._metrics: Dict[str, Tuple[Counter, Optional[Histogram]]] = {}
         self._registry = registry if registry is not None else MetricsRegistry()
         self._fallback_counter = self._registry.counter("dispatch.fallback")
         self._requests = self._registry.counter("dispatch.requests_total")
@@ -133,17 +119,11 @@ class FormatDispatcher:
             else None
         )
         self._started_monotonic = time.monotonic()
-        self._labels: List[str] = []
-        # Resolved-route cache: key length -> entry, for lengths where
-        # resolution is unambiguous (one candidate, no verification).
-        # Saves the candidate-list walk on every call; invalidated on
-        # registration.
-        self._route_cache: Dict[int, _Entry] = {}
-        # Guards the registration structures against concurrent
-        # register()/stats()/describe() — NOT taken on the hashing hot
-        # path, which reads dicts that mutate only under this lock.
-        # Contention is observable: a blocked acquisition first fails a
-        # non-blocking attempt and counts a lock-wait event.
+        # Guards registration against concurrent register()/stats()/
+        # describe() — NOT taken on the hashing hot path, which reads
+        # the current table snapshot by reference.  Contention is
+        # observable: a blocked acquisition first fails a non-blocking
+        # attempt and counts a lock-wait event.
         self._state_lock = threading.Lock()
         self._lock_waits = self._registry.counter("dispatch.lock_waits")
 
@@ -170,306 +150,180 @@ class FormatDispatcher:
                 formats (e.g. sub-word keys — register those under the
                 fallback instead, which is what SEPE itself does).
         """
-        if isinstance(source, SynthesizedHash):
-            synthesized = source
-        else:
-            synthesized = synthesize(source, family)
-        pattern = synthesized.pattern
-        function = synthesized.function
-        if self._prefer_native:
-            # Compile eagerly so the first routed key never pays JIT
-            # latency; degradation leaves the Python callable in place.
-            # Kept outside the state lock: a JIT compile must not stall
-            # concurrent stats() readers.
-            native_scalar = synthesized.native_function
-            if native_scalar is not None:
-                function = native_scalar
-                self._native_formats.inc()
+        # Synthesis and tier selection — with prefer_native, an eager
+        # JIT compile so the first routed key never pays it — stay
+        # outside the state lock: a compile must not stall concurrent
+        # stats() readers.
+        route = build_route_state(
+            f"r{next(self._serials)}",
+            source,
+            family,
+            prefer_native=self._prefer_native,
+        )
+        if route.native:
+            self._native_formats.inc()
         self._acquire_state_lock()
         try:
-            label = (
-                synthesized.plan.pattern_regex
-                or f"format-{len(self._labels)}"
-            )
-            counter = self._registry.counter(f"dispatch.route.{label}")
-            histogram = (
+            # Metrics first: a reader that sees the new table finds them.
+            self._metrics[route.route_id] = (
+                self._registry.counter(f"dispatch.route.{route.label}"),
                 self._registry.histogram(
-                    f"dispatch.latency_ns.{label}", NS_LATENCY_BUCKETS
+                    f"dispatch.latency_ns.{route.label}", NS_LATENCY_BUCKETS
                 )
                 if self._latency
-                else None
+                else None,
             )
-            self._labels.append(label)
-            entry = (pattern, function, counter, synthesized, histogram)
-            if pattern.is_fixed_length:
-                self._by_length.setdefault(
-                    pattern.body_length, []
-                ).append(entry)
-            else:
-                self._variable.append(entry)
-            self._route_cache.clear()
+            self._table = self._table.added(route)
         finally:
             self._state_lock.release()
-        return synthesized
+        return route.synthesized
 
     def register_examples(
         self,
         keys: Iterable[KeyLike],
         family: HashFamily = HashFamily.PEXT,
         engine: str = ENGINE_AUTO,
-        jobs: Optional[int] = None,
     ) -> SynthesizedHash:
         """Register a format learned from example keys (Figure 5a, inline).
 
         The format is inferred through the bitwise-parallel engine of
-        :mod:`repro.core.fast_infer` — pass ``jobs > 1`` to shard the
-        join across processes for very large corpora — then registered
-        like any other source.  This is the production registration
-        path: hand the dispatcher a key sample, get routed hashing.
+        :mod:`repro.core.fast_infer`, then registered like any other
+        source.  This is the production registration path: hand the
+        dispatcher a key sample, get routed hashing.
 
         Raises:
             EmptyKeySetError: when ``keys`` is empty.
             SynthesisError: propagated from synthesis.
         """
-        if jobs is not None and jobs > 1:
-            pattern = infer_pattern_parallel(keys, jobs=jobs)
-        else:
-            pattern = infer_pattern(keys, engine=engine)
-        return self.register(pattern, family=family)
+        return self.register(infer_pattern(keys, engine=engine), family=family)
 
     @property
     def format_count(self) -> int:
         """Number of registered formats."""
-        return sum(len(v) for v in self._by_length.values()) + len(
-            self._variable
-        )
+        return len(self._table)
 
     # -- dispatch --------------------------------------------------------
 
-    def _resolve(self, key: bytes) -> Optional[_Entry]:
-        """Find the entry for ``key`` without touching any counter.
-
-        Caches the resolution by key length when it is unambiguous (one
-        fixed-length candidate, verification off) so steady-state calls
-        skip the candidate walk — the compiled callable is re-used, not
-        re-resolved, per call.
-        """
-        length = len(key)
-        entry = self._route_cache.get(length)
-        if entry is not None:
-            return entry
-        candidates = self._by_length.get(length)
-        if candidates:
-            if len(candidates) == 1 and not self._verify:
-                entry = candidates[0]
-                self._route_cache[length] = entry
-                return entry
-            for entry in candidates:
-                if entry[0].matches(key):
-                    return entry
-        for entry in self._variable:
-            if entry[0].matches(key):
-                return entry
-        return None
+    def _lookup(self, key: bytes) -> Tuple[HashCallable, Optional[Histogram]]:
+        """Count one routing decision; the callable and its histogram."""
+        self._requests.inc()
+        route = self._table.resolve(key)
+        if route is None:
+            self._fallback_counter.inc()
+            return self._fallback, self._fallback_latency
+        counter, histogram = self._metrics[route.route_id]
+        counter.inc()
+        return route.scalar, histogram
 
     def route(self, key: bytes) -> HashCallable:
         """The function that would hash ``key`` (for inspection/tests)."""
-        self._requests.inc()
-        entry = self._resolve(key)
-        if entry is None:
-            self._fallback_counter.inc()
-            return self._fallback
-        entry[2].inc()
-        return entry[1]
+        return self._lookup(key)[0]
 
     def __call__(self, key: bytes) -> int:
-        if not self._latency:
-            return self.route(key)(key)
-        function = self.route(key)
+        function, histogram = self._lookup(key)
+        if histogram is None:
+            return function(key)
         started = time.perf_counter_ns()
         value = function(key)
-        self._observe_latency(key, time.perf_counter_ns() - started)
+        histogram.observe(time.perf_counter_ns() - started)
         return value
 
-    def _observe_latency(self, key: bytes, elapsed_ns: float) -> None:
-        """Record one latency observation on the route that served ``key``.
+    def _hash_group(
+        self, route: RouteState, tier: Callable, keys: List[bytes]
+    ):
+        """One route's group through ``tier``: count it, time it."""
+        counter, histogram = self._metrics[route.route_id]
+        count = len(keys)
+        counter.inc(count)
+        if histogram is None:
+            return tier(keys)
+        started = time.perf_counter_ns()
+        values = tier(keys)
+        per_key_ns = (time.perf_counter_ns() - started) / count
+        for _ in range(count):
+            histogram.observe(per_key_ns)
+        return values
 
-        Called right after :meth:`route`, so ``_resolve`` hits the route
-        cache and costs one dict probe; the fallback owns its own
-        histogram.
-        """
-        entry = self._resolve(key)
-        histogram = entry[4] if entry is not None else self._fallback_latency
-        if histogram is not None:
-            histogram.observe(elapsed_ns)
-
-    def _group_hash_many(
-        self, entry: _Entry, grouped_keys: List[bytes]
-    ) -> List[int]:
-        """One group through the fastest batch tier this entry has."""
-        if self._prefer_native:
-            native = entry[3].native_batch_function
-            if native is not None:
-                return native(grouped_keys)
-        return entry[3].hash_many(grouped_keys)
-
-    def _homogeneous_entry(self, keys: Sequence[bytes]) -> Optional[_Entry]:
-        """The single entry serving every key of the batch, or None.
-
-        Only lengths in the resolved-route cache qualify — exactly the
-        lengths where per-key resolution is length-only (one candidate,
-        verification off) — so taking the batch shortcut routes each
-        key to the same entry the per-key walk would have picked.
-        """
-        if not keys:
-            return None
-        length = len(keys[0])
-        entry = self._route_cache.get(length)
-        if entry is None:
-            self._resolve(keys[0])  # may populate the cache
-            entry = self._route_cache.get(length)
-            if entry is None:
-                return None
+    def _hash_fallback(self, keys: List[bytes]) -> List[int]:
+        """Unrouted keys through the scalar fallback, counted."""
+        self._fallback_counter.inc(len(keys))
+        fallback = self._fallback
+        histogram = self._fallback_latency
+        if histogram is None:
+            return [fallback(key) for key in keys]
+        values = []
         for key in keys:
-            if len(key) != length:
-                return None
-        return entry
+            started = time.perf_counter_ns()
+            values.append(fallback(key))
+            histogram.observe(time.perf_counter_ns() - started)
+        return values
 
     def hash_many(self, keys: Sequence[bytes]) -> List[int]:
         """Hash a batch of keys, routing once per group, not per key.
 
-        Keys are grouped by resolved format; each group is hashed by one
-        call to that format's batch kernel (compiled lazily through the
-        compile cache), so per-key dispatch and function-call overhead
-        is paid once per *group*.  Unrecognized keys go through the
-        scalar fallback.  Results are positionally aligned with
-        ``keys``, and route/fallback counters advance by group sizes
-        exactly as per-key routing would.
-
-        Contiguous same-length batches on an unambiguous route skip
-        per-key resolution and the index scatter entirely: one length
-        sweep, then one batch-kernel call (the native ``hash_many``
-        when the format has it) — the grouped-traffic fast path that
-        recovers most of the native tier's margin over per-key routing.
+        Keys are grouped by route; each group is hashed by one call to
+        that route's batch tier, so per-key dispatch and function-call
+        overhead is paid once per *group*.  Unrecognized keys go
+        through the scalar fallback.  Results are positionally aligned
+        with ``keys``, and route/fallback counters advance by group
+        sizes exactly as per-key routing would.  A same-length batch on
+        a length one route owns skips per-key resolution entirely (see
+        :meth:`~repro.serve.routes.RouteTable.hash_many`).
         """
-        entry = self._homogeneous_entry(keys)
-        if entry is not None:
-            count = len(keys)
-            self._requests.inc(count)
-            entry[2].inc(count)
-            grouped = keys if isinstance(keys, list) else list(keys)
-            if self._latency and entry[4] is not None:
-                started = time.perf_counter_ns()
-                values = self._group_hash_many(entry, grouped)
-                per_key_ns = (
-                    time.perf_counter_ns() - started
-                ) / count
-                histogram = entry[4]
-                for _ in range(count):
-                    histogram.observe(per_key_ns)
-            else:
-                values = self._group_hash_many(entry, grouped)
-            return values
-        out: List[int] = [0] * len(keys)
         self._requests.inc(len(keys))
-        groups: Dict[int, Tuple[_Entry, List[int], List[bytes]]] = {}
-        fallback_indices: List[int] = []
-        fallback_keys: List[bytes] = []
-        for index, key in enumerate(keys):
-            entry = self._resolve(key)
-            if entry is None:
-                fallback_indices.append(index)
-                fallback_keys.append(key)
-                continue
-            group = groups.get(id(entry))
-            if group is None:
-                groups[id(entry)] = (entry, [index], [key])
-            else:
-                group[1].append(index)
-                group[2].append(key)
-        for entry, indices, grouped_keys in groups.values():
-            entry[2].inc(len(indices))
-            if self._latency and entry[4] is not None:
-                started = time.perf_counter_ns()
-                values = self._group_hash_many(entry, grouped_keys)
-                per_key_ns = (time.perf_counter_ns() - started) / len(
-                    grouped_keys
-                )
-                for _ in indices:
-                    entry[4].observe(per_key_ns)
-            else:
-                values = self._group_hash_many(entry, grouped_keys)
-            for index, value in zip(indices, values):
-                out[index] = value
-        if fallback_indices:
-            self._fallback_counter.inc(len(fallback_indices))
-            fallback = self._fallback
-            fallback_latency = self._fallback_latency if self._latency else None
-            for index, key in zip(fallback_indices, fallback_keys):
-                if fallback_latency is not None:
-                    started = time.perf_counter_ns()
-                    out[index] = fallback(key)
-                    fallback_latency.observe(time.perf_counter_ns() - started)
-                else:
-                    out[index] = fallback(key)
-        return out
+        return self._table.hash_many(
+            keys, self._hash_group, self._hash_fallback
+        )
 
     def hash_many_array(self, keys: Sequence[bytes]):
         """Hash a batch into a NumPy uint64 array (the fastest tier).
 
-        A contiguous same-length batch served by one native-backed
-        route goes straight through the module's ``hash_many_array``
-        entry point — no per-key resolution, no ``tolist`` boxing
-        (the single largest cost of the list contract, ~36 vs ~16
-        ns/key on the reference container).  Heterogeneous batches and
-        non-native routes fall back to :meth:`hash_many` plus one array
-        conversion, so callers can use this unconditionally.
+        A same-length batch served by one native-backed route goes
+        straight through the module's ``hash_many_array`` entry point —
+        no per-key resolution, no ``tolist`` boxing (the single largest
+        cost of the list contract, ~36 vs ~16 ns/key on the reference
+        container).  Every other batch takes the :meth:`hash_many`
+        grouping plus one array conversion, so callers can use this
+        unconditionally.
         """
-        entry = self._homogeneous_entry(keys)
-        if entry is not None and self._prefer_native:
-            module = entry[3].native_module
-            if module is not None:
-                count = len(keys)
-                self._requests.inc(count)
-                entry[2].inc(count)
-                grouped = keys if isinstance(keys, list) else list(keys)
-                if self._latency and entry[4] is not None:
-                    started = time.perf_counter_ns()
-                    values = module.hash_many_array(grouped)
-                    per_key_ns = (
-                        time.perf_counter_ns() - started
-                    ) / count
-                    histogram = entry[4]
-                    for _ in range(count):
-                        histogram.observe(per_key_ns)
-                    return values
-                return module.hash_many_array(grouped)
-        return _np.asarray(self.hash_many(keys), dtype=_np.uint64)
+        self._requests.inc(len(keys))
+        return self._table.hash_many(
+            keys, self._hash_group, self._hash_fallback, array=True
+        )
 
     # -- introspection -----------------------------------------------------
+
+    @staticmethod
+    def _ordered(table: RouteTable) -> List[Tuple[RouteState, Optional[int]]]:
+        """Routes with their fixed length (None if variable), table order:
+        fixed formats by length, then variable ones."""
+        fixed = sorted(
+            (route for route in table.routes if route.pattern.is_fixed_length),
+            key=lambda route: route.pattern.body_length,
+        )
+        variable = [
+            route for route in table.routes
+            if not route.pattern.is_fixed_length
+        ]
+        return [(route, route.pattern.body_length) for route in fixed] + [
+            (route, None) for route in variable
+        ]
 
     def describe(self) -> List[str]:
         """Human-readable routing table, one line per registered format."""
         from repro.core.regex_render import render_regex
 
-        self._acquire_state_lock()
-        try:
-            fixed = [
-                (length, entry[0])
-                for length in sorted(self._by_length)
-                for entry in self._by_length[length]
-            ]
-            variable = [entry[0] for entry in self._variable]
-        finally:
-            self._state_lock.release()
-        lines = [
-            f"len {length:4d}: {render_regex(pattern)}"
-            for length, pattern in fixed
-        ]
-        for pattern in variable:
-            lines.append(
-                f"len {pattern.min_length}+  : {render_regex(pattern)}"
-            )
+        lines = []
+        for route, length in self._ordered(self._table):
+            if length is None:
+                lines.append(
+                    f"len {route.pattern.min_length}+  : "
+                    f"{render_regex(route.pattern)}"
+                )
+            else:
+                lines.append(
+                    f"len {length:4d}: {render_regex(route.pattern)}"
+                )
         lines.append("otherwise  : fallback")
         return lines
 
@@ -496,7 +350,7 @@ class FormatDispatcher:
         ``latency`` summary (observation ``count`` and ``mean_ns``) from
         its histogram.
 
-        The whole snapshot is taken in one critical section — entry
+        The whole snapshot is taken in one critical section — route
         list and every counter value read back to back under the state
         lock — so concurrent registrations cannot interleave a
         half-visible format, and ``total_routes`` is the sum of exactly
@@ -506,24 +360,21 @@ class FormatDispatcher:
         """
         self._acquire_state_lock()
         try:
-            entries: List[Tuple[_Entry, Optional[int]]] = [
-                (entry, length)
-                for length in sorted(self._by_length)
-                for entry in self._by_length[length]
+            routes = self._ordered(self._table)
+            counts = [
+                self._metrics[route.route_id][0].value for route, _ in routes
             ]
-            entries.extend((entry, None) for entry in self._variable)
-            counts = [entry[2].value for entry, _length in entries]
             fallback_routes = self._fallback_counter.value
             native_formats = self._native_formats.value
         finally:
             self._state_lock.release()
         formats = [
-            self._format_stats(entry, length, routes)
-            for (entry, length), routes in zip(entries, counts)
+            self._format_stats(route, length, routes_served)
+            for (route, length), routes_served in zip(routes, counts)
         ]
         total = sum(counts)
         stats: Dict[str, object] = {
-            "registered": len(entries),
+            "registered": len(routes),
             "total_routes": total + fallback_routes,
             "fallback_routes": fallback_routes,
             "formats": formats,
@@ -535,7 +386,7 @@ class FormatDispatcher:
         stats["qps"] = (
             (total + fallback_routes) / elapsed if elapsed > 0 else 0.0
         )
-        if self._latency and self._fallback_latency is not None:
+        if self._fallback_latency is not None:
             histogram = self._fallback_latency
             stats["fallback_latency"] = {
                 "count": histogram.count,
@@ -543,21 +394,20 @@ class FormatDispatcher:
             }
         return stats
 
-    @staticmethod
     def _format_stats(
-        entry: _Entry, length: Optional[int], routes: int
+        self, route: RouteState, length: Optional[int], routes: int
     ) -> Dict[str, object]:
         from repro.core.regex_render import render_regex
 
         record: Dict[str, object] = {
-            "regex": render_regex(entry[0]),
+            "regex": render_regex(route.pattern),
             "length": length,
             "routes": routes,
             # True only when the native module is already loaded — this
             # must never trigger a compile from a stats snapshot.
-            "native": entry[3]._native_state == "loaded",
+            "native": route.synthesized._native_state == "loaded",
         }
-        histogram = entry[4]
+        histogram = self._metrics[route.route_id][1]
         if histogram is not None:
             record["latency"] = {
                 "count": histogram.count,

@@ -27,12 +27,12 @@ byte-for-byte against the reference join by ``tests/core/test_fast_infer.py``:
 - a mergeable :class:`PatternAccumulator` — the join is a commutative
   monoid, so chunk-level ``(base, diff, min, max)`` states combine in
   any order, enabling streaming inference over corpora that do not fit
-  in memory and the :func:`infer_pattern_parallel` sharded driver.
+  in memory and joins of per-shard drift samples
+  (:mod:`repro.serve.drift`).
 """
 
 from __future__ import annotations
 
-import os
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as _np
@@ -60,9 +60,6 @@ _BULK_CHUNK = 1 << 16
 
 _SATURATION_STRIDE = 1 << 12
 """How often the big-int fold checks whether every bit already varies."""
-
-_PARALLEL_MIN_KEYS = 4096
-"""Below this, process spawn overhead dwarfs the join itself."""
 
 
 def as_key_bytes(key: KeyLike) -> bytes:
@@ -304,8 +301,8 @@ class PatternAccumulator:
         """Fold another accumulator's state into this one; returns ``self``.
 
         ``a.update(X).merge(b.update(Y))`` finishes identically to
-        ``a.update(X + Y)`` — the monoid law the parallel driver and the
-        parity tests rely on.
+        ``a.update(X + Y)`` — the monoid law the drift detector's per-shard
+        samples and the parity tests rely on.
         """
         if other._count == 0:
             return self
@@ -433,65 +430,3 @@ def infer_pattern_fast(
         max_length=max(lengths),
     )
 
-
-# -- the sharded parallel driver ---------------------------------------------
-
-
-def _worker_state(chunk: List[bytes]) -> AccumulatorState:
-    """Pool worker: fold one shard and ship back the monoid state."""
-    return PatternAccumulator().update(chunk).state()
-
-
-def infer_pattern_parallel(
-    keys: Iterable[KeyLike],
-    jobs: Optional[int] = None,
-    chunk_size: Optional[int] = None,
-) -> KeyPattern:
-    """Sharded multi-core inference: join chunk-level partial masks.
-
-    The corpus is split into ``jobs`` shards, each folded to a
-    ``(base, diff, min, max)`` state in its own process, and the
-    states merge in the parent — the commutative-monoid property makes
-    the result independent of sharding.  Small corpora (or ``jobs=1``)
-    skip process spawn entirely; pool failures fall back to the serial
-    engine rather than erroring.
-
-    Raises:
-        EmptyKeySetError: when ``keys`` is empty.
-    """
-    key_bytes = [
-        key if isinstance(key, bytes) else as_key_bytes(key) for key in keys
-    ]
-    if not key_bytes:
-        raise EmptyKeySetError("cannot infer a pattern from zero examples")
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    jobs = max(1, min(jobs, len(key_bytes)))
-    if jobs == 1 or len(key_bytes) < _PARALLEL_MIN_KEYS:
-        return infer_pattern_fast(key_bytes)
-    if chunk_size is None:
-        chunk_size = -(-len(key_bytes) // jobs)  # ceil division
-    chunks = [
-        key_bytes[start : start + chunk_size]
-        for start in range(0, len(key_bytes), chunk_size)
-    ]
-    get_registry().counter("inference.engine.parallel").inc()
-    with span(
-        "inference.parallel",
-        keys=len(key_bytes),
-        jobs=jobs,
-        chunks=len(chunks),
-    ):
-        try:
-            import multiprocessing
-
-            with multiprocessing.Pool(min(jobs, len(chunks))) as pool:
-                states = pool.map(_worker_state, chunks)
-        except (ImportError, OSError, PermissionError):
-            # Sandboxes without fork/semaphores: serial, same answer.
-            get_registry().counter("inference.parallel.fallback").inc()
-            return infer_pattern_fast(key_bytes)
-    accumulator = PatternAccumulator()
-    for state in states:
-        accumulator.merge(PatternAccumulator.from_state(state))
-    return accumulator.finish()

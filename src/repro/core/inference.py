@@ -23,14 +23,13 @@ produces an incorrect hash — only one with more collisions (footnote 2).
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import Iterable, List, Sequence, Union
 
 from repro.core.fast_infer import (
     ENGINE_AUTO,
     PatternAccumulator,
     as_key_bytes,
     infer_pattern_fast,
-    infer_pattern_parallel,
 )
 from repro.core.pattern import KeyPattern
 from repro.errors import EmptyKeySetError
@@ -76,9 +75,7 @@ def infer_pattern(
         return infer_pattern_fast(key_bytes, engine=engine)
 
 
-def infer_pattern_from_file(
-    path: str, jobs: Optional[int] = None
-) -> KeyPattern:
+def infer_pattern_from_file(path: str) -> KeyPattern:
     """Infer a pattern from a newline-separated file of example keys.
 
     Blank lines are ignored; trailing newlines are stripped (they are not
@@ -87,19 +84,11 @@ def infer_pattern_from_file(
 
     The file is *streamed*: keys fold into a
     :class:`~repro.core.fast_infer.PatternAccumulator` chunk by chunk,
-    so corpora larger than memory infer in bounded space.  Pass
-    ``jobs > 1`` to shard the join across processes instead (the file
-    is then materialized once to split it).
+    so corpora larger than memory infer in bounded space.
 
     Raises:
         EmptyKeySetError: when the file holds no non-blank line.
     """
-    if jobs is not None and jobs > 1:
-        with open(path, "r", encoding="utf-8") as handle:
-            keys = [line.rstrip("\n") for line in handle]
-        return infer_pattern_parallel(
-            [key for key in keys if key], jobs=jobs
-        )
     accumulator = PatternAccumulator()
     with span("inference.stream", path=path):
         chunk: List[bytes] = []

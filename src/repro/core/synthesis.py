@@ -207,18 +207,6 @@ class SynthesizedHash:
         module = self.native_module
         return module.hash_many if module is not None else None
 
-    def hash_many_native(self, keys: Sequence[bytes]) -> List[int]:
-        """Hash a batch through the native tier, falling back silently.
-
-        Uses the JIT-compiled batched entry point when available,
-        otherwise the NumPy/generated batch path — so callers get the
-        fastest tier the host supports without caring which one ran.
-        """
-        module = self.native_module
-        if module is not None:
-            return module.hash_many(keys)
-        return self.batch_function(keys)
-
     @property
     def is_bijective(self) -> bool:
         """Whether distinct conforming keys are guaranteed distinct hashes."""

@@ -1,4 +1,10 @@
-"""Immutable route state for the sharded hash service.
+"""Immutable route state: the one routing and tier-selection policy.
+
+:class:`~repro.serve.service.HashService` (every shard) and
+:class:`repro.core.dispatch.FormatDispatcher` route through a
+:class:`RouteTable` and hash through the callables its
+:class:`RouteState` entries chose; neither keeps a resolver or a tier
+order of its own.
 
 The serving hot path must never take a lock, so the routing structure
 is a persistent data structure: a :class:`RouteTable` is built once,
@@ -23,6 +29,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+import numpy as _np
+
 from repro.core.pattern import KeyPattern
 from repro.core.plan import HashFamily
 from repro.core.synthesis import FormatSource, SynthesizedHash, synthesize
@@ -30,6 +38,9 @@ from repro.core.synthesis import FormatSource, SynthesizedHash, synthesize
 _FAST_LENGTH_SPAN = 64
 """Widest bounded variable-length range eagerly expanded into the
 length → route map; wider ranges resolve through the match walk."""
+
+GroupHasher = Callable[["RouteState", Callable, List[bytes]], Sequence]
+"""``hash_group(route, tier, keys) -> values`` of :meth:`RouteTable.hash_many`."""
 
 _FIXED_BATCH_ORDER = ("native", "numpy")
 """Fallback batch-tier preference when the cost model abstains."""
@@ -181,18 +192,32 @@ def build_route_state(
 class RouteTable:
     """An immutable snapshot of every route, with O(1) length routing.
 
-    ``fast`` maps key lengths that exactly one route can serve to that
-    route — the shard hot path is one dict probe against it.  Ambiguous
-    lengths (two fixed routes colliding, or a variable route
-    overlapping a fixed one) resolve through :meth:`resolve`'s template
-    walk, same policy as :class:`repro.core.dispatch.FormatDispatcher`.
+    The routing policy of both the hash service and
+    :class:`repro.core.dispatch.FormatDispatcher`.  ``fast`` maps
+    every key length that exactly one route can serve to that route
+    (fixed routes, plus every length of a variable route whose range
+    spans at most 64 bytes); the shard hot path is one dict probe
+    against it.  Contested lengths (two fixed routes colliding, or a
+    variable route overlapping a fixed one) resolve through
+    :meth:`resolve_checked`'s template walk.  An unbounded or wider
+    variable route could claim almost any length, so it leaves ``fast``
+    empty and every key is template-checked; so does
+    ``trust_length=False``.
     """
 
-    __slots__ = ("version", "routes", "fast", "_fixed", "_variable")
+    __slots__ = (
+        "version", "routes", "fast", "trust_length", "_fixed", "_variable"
+    )
 
-    def __init__(self, routes: Sequence[RouteState], version: int = 0):
+    def __init__(
+        self,
+        routes: Sequence[RouteState],
+        version: int = 0,
+        trust_length: bool = True,
+    ):
         self.version = version
         self.routes: Tuple[RouteState, ...] = tuple(routes)
+        self.trust_length = trust_length
         fixed: Dict[int, List[RouteState]] = {}
         variable: List[RouteState] = []
         for route in self.routes:
@@ -204,7 +229,9 @@ class RouteTable:
         self._fixed = {length: tuple(states) for length, states in
                        fixed.items()}
         self._variable = tuple(variable)
-        self.fast = self._build_fast_map(fixed, variable)
+        self.fast = (
+            self._build_fast_map(fixed, variable) if trust_length else {}
+        )
 
     @staticmethod
     def _build_fast_map(
@@ -238,9 +265,8 @@ class RouteTable:
         """The route serving ``key``, or None (fallback traffic).
 
         Lengths owned by exactly one route resolve by length alone —
-        the same trust-the-length policy as the dispatcher's route
-        cache (the paper's functions assume conforming input, footnote
-        3).  Contested lengths fall through to template matching.
+        the paper's functions assume conforming input (footnote 3).
+        Contested lengths fall through to template matching.
         """
         route = self.fast.get(len(key))
         if route is not None:
@@ -257,6 +283,81 @@ class RouteTable:
                 return route
         return None
 
+    def _homogeneous(self, keys: Sequence[bytes]) -> Optional[RouteState]:
+        """The route serving every key of ``keys`` by length, or None.
+
+        Only a length in ``fast`` qualifies, so the batch shortcut
+        sends each key to the route :meth:`resolve` would have picked.
+        """
+        if not keys:
+            return None
+        length = len(keys[0])
+        route = self.fast.get(length)
+        if route is None:
+            return None
+        for key in keys:
+            if len(key) != length:
+                return None
+        return route
+
+    def hash_many(
+        self,
+        keys: Sequence[bytes],
+        hash_group: GroupHasher,
+        hash_fallback: Callable[[List[bytes]], List[int]],
+        array: bool = False,
+    ):
+        """Hash a batch grouped by route, positionally aligned.
+
+        ``hash_group(route, tier, keys)`` hashes one group through
+        ``tier`` (``route.batch`` or ``route.batch_array``) and does the
+        caller's per-route accounting; ``hash_fallback(keys)`` does the
+        same for the keys no route serves.  A batch whose keys all
+        share one ``fast`` length is a single group with no per-key
+        resolution or scatter.  ``array=True`` returns a NumPy uint64
+        array, and sends such a batch through the route's native array
+        entry point when it has one (no list boxing).
+        """
+        route = self._homogeneous(keys)
+        if route is not None:
+            grouped = keys if isinstance(keys, list) else list(keys)
+            if not array:
+                return hash_group(route, route.batch, grouped)
+            if route.batch_array is not None:
+                return hash_group(route, route.batch_array, grouped)
+            return _np.asarray(
+                hash_group(route, route.batch, grouped), dtype=_np.uint64
+            )
+        out: List[int] = [0] * len(keys)
+        groups: Dict[str, Tuple[RouteState, List[int], List[bytes]]] = {}
+        fallback_indices: List[int] = []
+        fallback_keys: List[bytes] = []
+        fast = self.fast
+        for index, key in enumerate(keys):
+            # resolve(), inlined: no call frame per fast-map key.
+            route = fast.get(len(key))
+            if route is None:
+                route = self.resolve_checked(key)
+                if route is None:
+                    fallback_indices.append(index)
+                    fallback_keys.append(key)
+                    continue
+            group = groups.get(route.route_id)
+            if group is None:
+                groups[route.route_id] = (route, [index], [key])
+            else:
+                group[1].append(index)
+                group[2].append(key)
+        for route, indices, grouped in groups.values():
+            values = hash_group(route, route.batch, grouped)
+            for index, value in zip(indices, values):
+                out[index] = value
+        if fallback_keys:
+            values = hash_fallback(fallback_keys)
+            for index, value in zip(fallback_indices, values):
+                out[index] = value
+        return _np.asarray(out, dtype=_np.uint64) if array else out
+
     def get(self, route_id: str) -> Optional[RouteState]:
         for route in self.routes:
             if route.route_id == route_id:
@@ -271,14 +372,20 @@ class RouteTable:
             new_state if route.route_id == new_state.route_id else route
             for route in self.routes
         )
-        return RouteTable(replaced, version=self.version + 1)
+        return RouteTable(
+            replaced,
+            version=self.version + 1,
+            trust_length=self.trust_length,
+        )
 
     def added(self, new_state: RouteState) -> "RouteTable":
         """A new table with an additional route appended."""
         if self.get(new_state.route_id) is not None:
             raise KeyError(f"route {new_state.route_id!r} already exists")
         return RouteTable(
-            self.routes + (new_state,), version=self.version + 1
+            self.routes + (new_state,),
+            version=self.version + 1,
+            trust_length=self.trust_length,
         )
 
     def __len__(self) -> int:

@@ -41,8 +41,6 @@ from typing import (
     Union,
 )
 
-import numpy as _np
-
 from repro.core.fast_infer import as_key_bytes, infer_pattern_fast
 from repro.core.inference import KeyLike
 from repro.core.plan import HashFamily
@@ -273,22 +271,11 @@ class HashService:
     def hash_many_array(self, keys: Sequence[bytes]):
         """Batch hash to a NumPy uint64 array (fastest for one route).
 
-        Homogeneous batches served by a native-backed route skip list
-        boxing entirely; everything else goes through
-        :meth:`hash_many` and converts.
+        Same-length batches served by a native-backed route skip list
+        boxing entirely; everything else is grouped like
+        :meth:`hash_many` and converted.
         """
-        shard = self.shard_for_caller()
-        if keys:
-            table = shard.table
-            length = len(keys[0])
-            route = table.fast.get(length)
-            if (
-                route is not None
-                and route.batch_array is not None
-                and all(len(key) == length for key in keys)
-            ):
-                return shard.hash_batch_direct(route, list(keys))
-        return _np.asarray(shard.hash_many(keys), dtype=_np.uint64)
+        return self.shard_for_caller().hash_many_array(keys)
 
     def flush(self) -> None:
         """Flush every shard's pending buffers.

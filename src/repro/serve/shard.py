@@ -151,14 +151,15 @@ class Shard:
             with self.lock:
                 self._submit(key)
             return
-        # Inlined mirror of _submit (keep in sync): the exclusive lane
-        # is the throughput path, and the extra call frame per key is
-        # measurable against a sub-microsecond budget.
+        # Inlined copy of _submit and _enqueue (keep in sync with
+        # _enqueue): the exclusive lane is the throughput path, and the
+        # extra call frame per key is measurable against a
+        # sub-microsecond budget.
         try:
             self.tick += 1
             route = self.fast_map.get(len(key))
             if route is None:
-                self._submit_slow(key)
+                self._submit_miss(key)
                 return
             route_id = route.route_id
             entry = self.pending.get(route_id)
@@ -181,35 +182,26 @@ class Shard:
         self.tick += 1
         route = self.fast_map.get(len(key))
         if route is None:
-            self._submit_slow(key)
-            return
-        route_id = route.route_id
-        entry = self.pending.get(route_id)
-        if entry is None:
-            entry = self.pending[route_id] = (route, [])
-        buffer = entry[1]
-        buffer.append(key)
-        if not len(buffer) & self.sample_mask:
-            samples = self.samples.get(route_id)
-            if samples is None:
-                samples = self.samples[route_id] = []
-            samples.append(key)
-            self.sampled += 1
-        if len(buffer) >= self.flush_size:
-            self._flush_route(route_id, entry)
+            self._submit_miss(key)
+        else:
+            self._enqueue(route, key)
 
-    def _submit_slow(self, key: bytes) -> None:
+    def _submit_miss(self, key: bytes) -> None:
         """Contested-length and fallback submission (fast-map miss)."""
         route = self.table.resolve_checked(key)
-        if route is None:
-            buffer = self.fallback_pending
-            buffer.append(key)
-            if not len(buffer) & self.sample_mask:
-                self.unrouted_samples.append(key)
-                self.sampled += 1
-            if len(buffer) >= self.flush_size:
-                self._flush_fallback()
+        if route is not None:
+            self._enqueue(route, key)
             return
+        buffer = self.fallback_pending
+        buffer.append(key)
+        if not len(buffer) & self.sample_mask:
+            self.unrouted_samples.append(key)
+            self.sampled += 1
+        if len(buffer) >= self.flush_size:
+            self._flush_fallback()
+
+    def _enqueue(self, route: RouteState, key: bytes) -> None:
+        """Buffer one routed key, sample it, flush a full buffer."""
         route_id = route.route_id
         entry = self.pending.get(route_id)
         if entry is None:
@@ -323,84 +315,45 @@ class Shard:
 
     def hash_many(self, keys: Sequence[bytes]) -> List[int]:
         """Hash a batch now, grouped by route, positionally aligned."""
+        return self._batch(keys, False)
+
+    def hash_many_array(self, keys: Sequence[bytes]):
+        """:meth:`hash_many` into a NumPy uint64 array (native array
+        tier for a same-length batch on a native route)."""
+        return self._batch(keys, True)
+
+    def _batch(self, keys: Sequence[bytes], array: bool):
         if self.shared:
             with self.lock:
-                return self._hash_many(keys)
+                return self._hash_many(keys, array)
         self.busy = True
         if self.shared:
             self.busy = False
             with self.lock:
-                return self._hash_many(keys)
+                return self._hash_many(keys, array)
         try:
-            return self._hash_many(keys)
+            return self._hash_many(keys, array)
         finally:
             self.busy = False
 
-    def _hash_many(self, keys: Sequence[bytes]) -> List[int]:
-        out: List[int] = [0] * len(keys)
+    def _hash_many(self, keys: Sequence[bytes], array: bool):
         self.tick += len(keys)
         self.hashed += len(keys)
-        table = self.table
-        fast_map = self.fast_map
-        groups: Dict[str, Tuple[RouteState, List[int], List[bytes]]] = {}
-        fallback_pairs: List[Tuple[int, bytes]] = []
-        for index, key in enumerate(keys):
-            route = fast_map.get(len(key))
-            if route is None:
-                route = table.resolve_checked(key)
-                if route is None:
-                    fallback_pairs.append((index, key))
-                    continue
-            group = groups.get(route.route_id)
-            if group is None:
-                groups[route.route_id] = (route, [index], [key])
-            else:
-                group[1].append(index)
-                group[2].append(key)
-        for route_id, (route, indices, grouped) in groups.items():
-            self.route_counts[route_id] = (
-                self.route_counts.get(route_id, 0) + len(indices)
-            )
-            values = route.batch(grouped)
-            for index, value in zip(indices, values):
-                out[index] = value
-        if fallback_pairs:
-            self.fallback_count += len(fallback_pairs)
-            fallback = self.fallback
-            for index, key in fallback_pairs:
-                out[index] = fallback(key)
-        return out
-
-    def hash_batch_direct(
-        self, route: RouteState, keys: List[bytes]
-    ):
-        """Hash a pre-resolved homogeneous batch via the array tier.
-
-        The caller (the service's ``hash_many_array``) has already
-        checked that every key has the route's length and that the
-        route carries a native array entry point.
-        """
-        if self.shared:
-            with self.lock:
-                return self._hash_batch_direct(route, keys)
-        self.busy = True
-        if self.shared:
-            self.busy = False
-            with self.lock:
-                return self._hash_batch_direct(route, keys)
-        try:
-            return self._hash_batch_direct(route, keys)
-        finally:
-            self.busy = False
-
-    def _hash_batch_direct(self, route: RouteState, keys: List[bytes]):
-        count = len(keys)
-        self.tick += count
-        self.hashed += count
-        self.route_counts[route.route_id] = (
-            self.route_counts.get(route.route_id, 0) + count
+        return self.table.hash_many(
+            keys, self._hash_group, self._hash_fallback, array=array
         )
-        return route.batch_array(keys)
+
+    def _hash_group(self, route: RouteState, tier, keys: List[bytes]):
+        route_id = route.route_id
+        self.route_counts[route_id] = (
+            self.route_counts.get(route_id, 0) + len(keys)
+        )
+        return tier(keys)
+
+    def _hash_fallback(self, keys: List[bytes]) -> List[int]:
+        self.fallback_count += len(keys)
+        fallback = self.fallback
+        return [fallback(key) for key in keys]
 
     # -- reconciler interface ------------------------------------------
 

@@ -414,3 +414,54 @@ class TestPerfectReport:
         # RQ samples are committed-artifact-only in the smoke pass.
         assert not any("/ssn/" in id for id in ids)
         assert all(entry.source == "smoke" for entry in entries)
+
+
+class TestCommittedLedgerCoverage:
+    """The committed ledger baselines every row the smoke compare
+    measures, so no gated row can pass as ``new``."""
+
+    def test_every_smoke_row_has_a_baseline(self):
+        from pathlib import Path
+
+        from repro.bench.batch_compare import DEFAULT_FAMILIES
+        from repro.bench.ledger import (
+            SERVE_SMOKE_SHARD_COUNTS,
+            SMOKE_KEY_TYPES,
+            batch_entry_id,
+            serve_entry_id,
+        )
+        from repro.keygen.keyspec import key_spec
+
+        ledger = load_ledger(
+            str(Path(__file__).parents[2] / "BENCH_LEDGER.json")
+        )
+        assert ledger is not None
+        # ``native`` rows are emitted only where the JIT tier works;
+        # requiring them unconditionally is the stricter check.
+        expected = {
+            batch_entry_id(key_spec(key_type).name, family.value, tier)
+            for key_type in SMOKE_KEY_TYPES
+            for family in DEFAULT_FAMILIES
+            for tier in ("scalar", "batch", "native")
+        } | {serve_entry_id(shards) for shards in SERVE_SMOKE_SHARD_COUNTS}
+        missing = sorted(expected - set(ledger["entries"]))
+        assert missing == []
+        assert len(expected) == 27
+
+    def test_new_row_in_gated_family_fails_the_gate(self):
+        from repro.bench.ledger import gate_failures
+
+        verdicts = compare_entries(
+            [_entry("batch/SSN/pext/scalar_ns_per_key", 100.0, TIGHT)],
+            [
+                _entry("batch/SSN/pext/scalar_ns_per_key", 100.0, TIGHT),
+                _entry("batch/SSN/pext/native_ns_per_key", 40.0, TIGHT),
+                _entry("serve/scaling/shards8/ns_per_key", 300.0, TIGHT),
+                _entry("infer/fixed/bigint/ns_per_key", 300.0, TIGHT),
+            ],
+        )
+        assert regression_count(verdicts) == 0
+        assert sorted(v.entry_id for v in gate_failures(verdicts)) == [
+            "batch/SSN/pext/native_ns_per_key",
+            "serve/scaling/shards8/ns_per_key",
+        ]

@@ -332,6 +332,43 @@ class TestBenchCompareServeRows:
         assert "serve/scaling/shards1/ns_per_key" in out
 
 
+class TestBenchCompareUnbaselinedRows:
+    def test_gated_row_without_baseline_fails(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        from repro.bench import ledger as bench_ledger
+
+        baseline = [
+            bench_ledger.LedgerEntry(
+                id="batch/SSN/pext/scalar_ns_per_key",
+                value=1000.0,
+                samples=[1000.0, 1010.0, 1005.0, 1002.0, 1001.0],
+                repeats=5,
+                source="smoke",
+            )
+        ]
+        unbaselined = bench_ledger.LedgerEntry(
+            id="batch/SSN/pext/batch_ns_per_key",
+            value=60.0,
+            samples=[60.0, 61.0, 62.0, 60.5, 60.2],
+            repeats=5,
+            source="smoke",
+        )
+        ledger = bench_ledger.new_ledger()
+        bench_ledger.update_ledger(ledger, baseline)
+        path = tmp_path / "ledger.json"
+        bench_ledger.write_ledger(ledger, path)
+        monkeypatch.setattr(
+            bench_ledger,
+            "collect_smoke_entries",
+            lambda **kwargs: baseline + [unbaselined],
+        )
+        assert run(["bench", "--compare", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "batch/SSN/pext/batch_ns_per_key" in captured.out
+        assert "no baseline" in captured.err
+
+
 class TestPerfect:
     def test_builtin_all_certifies(self, capsys):
         assert run(["perfect", "--builtin", "all"]) == 0

@@ -25,6 +25,7 @@ from repro.core.validate import sample_conforming_keys
 from repro.errors import NativeUnavailableError
 from repro.keygen.distributions import Distribution
 from repro.keygen.generator import generate_keys
+from repro.serve.routes import RouteState
 
 SSN = r"\d{3}-\d{2}-\d{4}"
 TAIL_XOR = r"\d{8,24}"
@@ -184,9 +185,12 @@ def test_disabled_via_env_falls_back(clean_native_state):
     # Degradation is sticky per instance and silent after the first hit.
     assert synthesized.native_function is None
     assert synthesized.native_batch_function is None
-    # The Python tiers keep working.
+    # The Python tiers keep working: a native-preferring route state
+    # batches through the NumPy tier.
     key = b"123-45-6789"
-    assert synthesized.hash_many_native([key]) == [synthesized(key)]
+    state = RouteState("r0", synthesized, prefer_native=True)
+    assert state.batch_tier == "numpy"
+    assert state.batch([key]) == [synthesized(key)]
 
 
 def test_missing_compiler_falls_back(clean_native_state):
@@ -201,7 +205,9 @@ def test_missing_compiler_falls_back(clean_native_state):
     with pytest.warns(RuntimeWarning):
         assert synthesized.native_module is None
     key = b"987-65-4321"
-    assert synthesized.hash_many_native([key]) == [synthesized(key)]
+    state = RouteState("r0", synthesized, prefer_native=True)
+    assert state.batch_tier == "numpy"
+    assert state.batch([key]) == [synthesized(key)]
 
 
 def test_broken_compiler_negative_cached(clean_native_state, tmp_path):

@@ -1,10 +1,10 @@
 """Parity and property tests for the bitwise-parallel inference engine.
 
 The contract under test: every fast path — big-int folding, NumPy column
-reduction, chunked/merged accumulators, and the sharded parallel driver
-— produces *byte-for-byte* the same join as the reference per-quad
-implementation (:func:`repro.core.quads.join_keys`), on every corpus
-shape we can think of plus randomized fuzz corpora.
+reduction, chunked/merged accumulators — produces *byte-for-byte* the
+same join as the reference per-quad implementation
+(:func:`repro.core.quads.join_keys`), on every corpus shape we can
+think of plus randomized fuzz corpora.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from repro.core.fast_infer import (
     PatternAccumulator,
     as_key_bytes,
     choose_engine,
-    infer_pattern_parallel,
     join_keys_bigint,
     join_keys_fast,
     join_keys_numpy,
@@ -233,30 +232,6 @@ class TestPatternAccumulator:
         assert join_keys_bigint(keys) == join_keys(keys)
 
 
-class TestParallelInference:
-    def test_parallel_matches_serial(self):
-        rng = random.Random(21)
-        keys = random_corpus(rng, 6000, 10, 10, alphabet=b"0123456789ab")
-        assert infer_pattern_parallel(keys, jobs=2) == infer_pattern(keys)
-
-    def test_parallel_mixed_lengths(self):
-        rng = random.Random(22)
-        keys = random_corpus(rng, 5000, 4, 9, alphabet=b"xyz0")
-        assert infer_pattern_parallel(keys, jobs=3) == infer_pattern(keys)
-
-    def test_small_corpus_skips_process_pool(self):
-        keys = [b"JFK", b"LAX", b"GRU"]
-        assert infer_pattern_parallel(keys, jobs=8) == infer_pattern(keys)
-
-    def test_jobs_one_is_serial(self):
-        keys = [b"abc", b"abd"]
-        assert infer_pattern_parallel(keys, jobs=1) == infer_pattern(keys)
-
-    def test_empty_raises(self):
-        with pytest.raises(EmptyKeySetError):
-            infer_pattern_parallel([], jobs=2)
-
-
 class TestRewiredInference:
     def test_infer_pattern_engines_agree(self):
         keys = ["000-00", "555-55", "123-45"]
@@ -273,14 +248,6 @@ class TestRewiredInference:
         path = tmp_path / "keys.txt"
         path.write_text("\n".join(keys) + "\n\n", encoding="utf-8")
         assert infer_pattern_from_file(str(path)) == infer_pattern(keys)
-
-    def test_infer_pattern_from_file_parallel(self, tmp_path):
-        keys = [f"key-{i:06d}" for i in range(4096)]
-        path = tmp_path / "keys.txt"
-        path.write_text("\n".join(keys), encoding="utf-8")
-        assert infer_pattern_from_file(str(path), jobs=2) == infer_pattern(
-            keys
-        )
 
     def test_infer_pattern_from_file_empty_raises(self, tmp_path):
         path = tmp_path / "empty.txt"
@@ -324,17 +291,6 @@ class TestDispatcherRegisterExamples:
         stats = dispatcher.stats()
         assert stats["total_routes"] == 1
         assert stats["fallback_routes"] == 0
-
-    def test_register_examples_parallel_path(self):
-        from repro.core.dispatch import FormatDispatcher
-
-        keys = [f"{i:08d}" for i in range(5000)]
-        serial = FormatDispatcher()
-        serial.register_examples(keys)
-        parallel = FormatDispatcher()
-        parallel.register_examples(keys, jobs=2)
-        probe = b"31415926"
-        assert serial(probe) == parallel(probe)
 
     def test_register_examples_empty_raises(self):
         from repro.core.dispatch import FormatDispatcher
